@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction

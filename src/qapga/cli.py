@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .ga import GaConfig, config_from_text, run
+from .ga import _CONFIG_FIELDS, GaConfig, config_from_text, run
 from .instance import QapError, parse_qaplib
 from .oracle import DEFAULT_LIMIT, OracleLimitError, exhaustive_optimum
 
@@ -28,41 +28,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-# GaConfig field -> CLI destination, for --config files acting as defaults
-_CONFIG_TO_FLAG = {
-    "population_size": "pop",
-    "crossover_rate": "cx_rate",
-    "mutation_rate": "mut_rate",
-    "max_generations": "generations",
-    "target_cost": "target",
-    "time_limit_s": "time_limit_s",
-    "elitism_count": "elitism",
-    "rng_seed": "seed",
+# GaConfig field -> (flag, help); each flag's argparse dest is its field name
+_GA_FLAGS = {
+    "population_size": ("--pop", "population size"),
+    "crossover_rate": ("--cx-rate", "crossover probability"),
+    "mutation_rate": ("--mut-rate", "per-chromosome mutation probability"),
+    "max_generations": ("--generations", "maximum number of generations"),
+    "target_cost": ("--target", "stop once the best cost reaches this value"),
+    "time_limit_s": ("--time-limit-s", "wall-clock budget per run in seconds"),
+    "elitism_count": ("--elitism", "number of elite survivors per generation"),
+    "rng_seed": ("--seed", "random seed of the run"),
 }
 
 
-def _add_ga_flags(p: argparse.ArgumentParser, base: dict):
-    d = lambda flag, fallback: base.get(flag, fallback)
+def _add_ga_flags(p: argparse.ArgumentParser, base: dict, skip=()):
     p.add_argument("--config", type=Path, default=None,
                    help="flat key = value config file; explicit flags override it")
-    p.add_argument("--pop", type=int, default=d("pop", _DEFAULTS.population_size),
-                   help="population size")
-    p.add_argument("--generations", type=int,
-                   default=d("generations", _DEFAULTS.max_generations),
-                   help="maximum number of generations")
-    p.add_argument("--cx-rate", type=float,
-                   default=d("cx_rate", _DEFAULTS.crossover_rate),
-                   help="crossover probability")
-    p.add_argument("--mut-rate", type=float,
-                   default=d("mut_rate", _DEFAULTS.mutation_rate),
-                   help="per-chromosome mutation probability")
-    p.add_argument("--elitism", type=int,
-                   default=d("elitism", _DEFAULTS.elitism_count),
-                   help="number of elite survivors per generation")
-    p.add_argument("--target", type=int, default=d("target", None),
-                   help="stop once the best cost reaches this value")
-    p.add_argument("--time-limit-s", type=float, default=d("time_limit_s", None),
-                   help="wall-clock budget per run in seconds")
+    for name, kind in _CONFIG_FIELDS.items():
+        if name not in skip:
+            flag, text = _GA_FLAGS[name]
+            p.add_argument(flag, dest=name, type=kind,
+                           default=base.get(name, getattr(_DEFAULTS, name)), help=text)
 
 
 def _build_parser(config_defaults: dict | None = None) -> _Parser:
@@ -73,7 +59,6 @@ def _build_parser(config_defaults: dict | None = None) -> _Parser:
     solve = sub.add_parser("solve", help="run the GA on one instance")
     solve.add_argument("instance", type=Path)
     _add_ga_flags(solve, base)
-    solve.add_argument("--seed", type=int, default=base.get("seed", _DEFAULTS.rng_seed))
 
     bench = sub.add_parser("bench", help="run the benchmark suite")
     bench.add_argument("--dir", type=Path, required=True,
@@ -82,7 +67,7 @@ def _build_parser(config_defaults: dict | None = None) -> _Parser:
                        help="best-known values CSV (name,best_known,source)")
     bench.add_argument("--seeds", type=str, default="1..10",
                        help="seed list: comma-separated or a..b range")
-    _add_ga_flags(bench, base)
+    _add_ga_flags(bench, base, skip=("rng_seed",))
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", type=Path, default=None,
                        help="write the report here instead of stdout")
@@ -109,16 +94,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _config_from(args) -> GaConfig:
-    return GaConfig(
-        population_size=args.pop,
-        crossover_rate=args.cx_rate,
-        mutation_rate=args.mut_rate,
-        max_generations=args.generations,
-        target_cost=args.target,
-        time_limit_s=args.time_limit_s,
-        elitism_count=args.elitism,
-        rng_seed=getattr(args, "seed", _DEFAULTS.rng_seed),
-    )
+    return GaConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS
+                       if hasattr(args, name)})
 
 
 def _load_instance(path: Path):
@@ -195,7 +172,7 @@ def _config_file_defaults(argv):
         raise QapError(f"cannot read {path}: {e}") from None
     except ValueError as e:
         raise QapError(f"bad config file {path}: {e}") from None
-    return {flag: getattr(cfg, field) for field, flag in _CONFIG_TO_FLAG.items()}
+    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
 
 
 def main(argv=None, out=None, err=None) -> int:

@@ -2,6 +2,17 @@
 mutation, roulette-wheel selection with a minimization transform, and a
 generational loop with elitism.
 
+Population
+----------
+The population is two arrays: perms (P, n) int64, one permutation per row,
+and costs (P,) int64, the exact cost of each row.  A generation runs each
+phase as one batched call over all pairs or children: roulette picks
+(_pick), order crossover over the stacked crossing pairs, position draws
+(_swap_positions) with O(n) swap deltas for mutated copies, and one exact
+evaluation of every child whose cost is unknown.  swap_mutation and
+roulette_select are one-row front ends over the same kernels, and
+Chromosome appears only as GaResult.best.
+
 Determinism contract
 --------------------
 A run owns a single numpy Generator seeded from GaConfig.rng_seed.  The
@@ -14,25 +25,20 @@ in a fixed order regardless of which coins fire:
     [5] mutation coin, child 1      [6] swap pos a1   [7] swap pos b1
     [8] mutation coin, child 2      [9] swap pos a2  [10] swap pos b2
 
-Identical (instance, config, seed) therefore replays identically.
+Identical (instance, config, seed) therefore replays identically, unless
+time_limit_s stops the run: where that cap falls depends on machine speed.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import (
-    Instance,
-    _check_overflow_budget,
-    _cost_unchecked,
-    _swap_delta_unchecked,
-    check_permutation,
-    evaluate_cost,
-)
+from .instance import Instance, _costs, _swap_deltas, _swap_rows
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +78,14 @@ class GaConfig:
             raise ValueError("elitism_count must be in [0, population_size)")
 
 
+def _scalar_type(hint) -> type:
+    """int or float from a field annotation such as `int | None`."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+# GaConfig field -> value type, in field order; the one list of the fields
 _CONFIG_FIELDS = {
-    "population_size": int,
-    "crossover_rate": float,
-    "mutation_rate": float,
-    "max_generations": int,
-    "target_cost": int,
-    "time_limit_s": float,
-    "elitism_count": int,
-    "rng_seed": int,
+    f.name: _scalar_type(get_type_hints(GaConfig)[f.name]) for f in fields(GaConfig)
 }
 
 
@@ -143,64 +148,62 @@ class GaResult:
         return d
 
 
-def init_population(inst: Instance, size: int, rng: np.random.Generator) -> list[Chromosome]:
-    """Uniformly random permutations with cached costs."""
+def init_population(
+    inst: Instance, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random permutations (size, n) and their costs (size,)."""
     if size < 2:
         raise ValueError("population size must be >= 2")
-    return [
-        Chromosome(p, evaluate_cost(inst, p))
-        for p in (rng.permutation(inst.n) for _ in range(size))
-    ]
+    perms = np.stack([rng.permutation(inst.n) for _ in range(size)])
+    return perms, _costs(inst, perms)
 
 
-def order_crossover_two_point(
-    p1: np.ndarray, p2: np.ndarray, cut1: int, cut2: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-point order-preserving crossover.
+def order_crossover_two_point(p1, p2, cut1, cut2) -> tuple[np.ndarray, np.ndarray]:
+    """Two-point order-preserving crossover, on one pair or on stacked pairs.
 
     Child 1 keeps p1[cut1:cut2] in place; the other positions are filled
     left-to-right with the genes missing from that segment, in the order
-    they occur in p2.  Child 2 is the mirror image.
+    they occur in p2.  Child 2 is the mirror image.  p1 and p2 are either
+    two permutations of length n with integer cuts, or two (m, n) stacks
+    with one cut pair per row.
     """
-    n = len(p1)
-    if len(p2) != n:
+    p1, p2, cut1, cut2 = map(np.asarray, (p1, p2, cut1, cut2))
+    if p1.shape != p2.shape:
         raise ValueError("parents have different lengths")
-    if not (0 <= cut1 <= cut2 <= n):
+    n = p1.shape[-1]
+    if not ((0 <= cut1) & (cut1 <= cut2) & (cut2 <= n)).all():
         raise ValueError(f"cut points out of range: ({cut1}, {cut2}) for n={n}")
-    p1 = np.asarray(p1)
-    p2 = np.asarray(p2)
+    pos = np.arange(n)
+    keep = np.broadcast_to((pos >= cut1[..., None]) & (pos < cut2[..., None]), p1.shape)
 
     def make_child(keeper, donor):
-        child = np.empty(n, dtype=np.int64)
-        child[cut1:cut2] = keeper[cut1:cut2]
-        in_segment = np.zeros(n, dtype=bool)
-        in_segment[keeper[cut1:cut2]] = True
-        fill = donor[~in_segment[donor]]
-        child[:cut1] = fill[:cut1]
-        child[cut2:] = fill[cut1:]
+        # genes of the kept segment, flagged by value
+        in_segment = np.zeros(keeper.shape, dtype=bool)
+        np.put_along_axis(in_segment, keeper, keep, axis=-1)
+        child = keeper.astype(np.int64)
+        # row-major boolean assignment fills each row's free positions in order
+        child[~keep] = donor[~np.take_along_axis(in_segment, donor, axis=-1)]
         return child
 
     return make_child(p1, p2), make_child(p2, p1)
 
 
-def _swap_positions(n: int, u_a: float, u_b: float) -> tuple[int, int]:
-    """Two distinct uniform positions from two uniforms in [0, 1)."""
-    a = int(u_a * n)
-    b = int(u_b * (n - 1))
-    if b >= a:
-        b += 1
-    return a, b
+def _swap_positions(n: int, u_a, u_b) -> tuple[np.ndarray, np.ndarray]:
+    """Two distinct uniform positions per pair of uniforms in [0, 1)."""
+    a = (np.asarray(u_a) * n).astype(np.int64)
+    b = (np.asarray(u_b) * (n - 1)).astype(np.int64)
+    return a, b + (b >= a)
 
 
 def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exchange two distinct, uniformly chosen positions of p."""
-    n = len(p)
+    q = np.array(p)
+    n = len(q)
     if n < 2:
         log.warning("swap mutation on length-%d permutation is a no-op", n)
-        return np.asarray(p).copy()
-    a, b = _swap_positions(n, rng.random(), rng.random())
-    q = np.asarray(p).copy()
-    q[a], q[b] = q[b], q[a]
+        return q
+    a, b = _swap_positions(n, *rng.random((2, 1)))
+    _swap_rows(q[None], a, b)
     return q
 
 
@@ -209,7 +212,8 @@ def selection_weights(costs) -> np.ndarray:
 
     Raw weight is (max + min - cost); when the cheapest cost is 0 the worst
     raw weight degenerates to 0, so 1 is added across the board to keep every
-    weight positive.  Equal costs fall back to uniform weights.
+    weight positive.  Equal costs fall back to uniform weights.  The raw
+    weights are formed in float64 from (max - cost), which cannot overflow.
     """
     costs = np.asarray(costs, dtype=np.int64)
     if costs.size == 0:
@@ -220,14 +224,13 @@ def selection_weights(costs) -> np.ndarray:
     hi = int(costs.max())
     if lo == hi:
         return np.full(costs.size, 1.0 / costs.size)
-    raw = (hi + lo) - costs
-    if lo == 0:
-        raw = raw + 1
+    raw = (hi - costs).astype(np.float64) + (lo or 1)
     return raw / raw.sum()
 
 
-def _pick(cumweights: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cumweights, u, side="right")), len(cumweights) - 1)
+def _pick(cumweights: np.ndarray, u):
+    """Roulette index (or indices) of the uniform(s) u on a cumulative wheel."""
+    return np.minimum(np.searchsorted(cumweights, u, side="right"), len(cumweights) - 1)
 
 
 def roulette_select(
@@ -240,136 +243,103 @@ def roulette_select(
     return population[_pick(cum, rng.random())]
 
 
-def _assert_bijections(perms: np.ndarray) -> bool:
-    return bool((np.sort(perms, axis=1) == np.arange(perms.shape[1])).all())
-
-
 def evolve_step(
     inst: Instance,
-    population: list[Chromosome],
+    perms: np.ndarray,
+    costs: np.ndarray,
     cfg: GaConfig,
     rng: np.random.Generator,
     _counter: list | None = None,
-) -> list[Chromosome]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One generation: elitist survivors plus roulette/crossover/mutation offspring.
 
-    New chromosomes coming out of crossover are cost-evaluated in one batch;
-    a mutated verbatim copy reuses its parent's cost through an O(n) swap
-    delta instead.  If _counter is given, its first element is incremented
-    by the number of cost evaluations performed (full or delta).
+    Takes and returns the population as perms (P, n) and costs (P,).  Each
+    phase is one batched call over all pairs or children.  Crossover
+    children are cost-evaluated in one batch; a mutated verbatim copy
+    reuses its parent's cost through an O(n) swap delta instead.  If
+    _counter is given, its first element is incremented by the number of
+    cost evaluations performed (full or delta).
     """
     pop_size = cfg.population_size
-    if len(population) != pop_size:
+    if len(perms) != pop_size or len(costs) != pop_size:
         raise ValueError("population size does not match config")
     n = inst.n
-    flow, dist = inst.flow, inst.dist
-    fast = _check_overflow_budget(inst)
-    evals = 0
 
-    costs = np.fromiter((c.cost for c in population), dtype=np.int64, count=pop_size)
     elite_idx = np.argsort(costs, kind="stable")[: cfg.elitism_count]
-    next_gen: list[Chromosome] = [population[i] for i in elite_idx]
-
     cum = np.cumsum(selection_weights(costs))
     n_offspring = pop_size - cfg.elitism_count
     n_pairs = (n_offspring + 1) // 2
     blocks = rng.random((n_pairs, 11))
 
-    parent_idx = np.minimum(
-        np.searchsorted(cum, blocks[:, :2].ravel(), side="right"), pop_size - 1
-    ).reshape(n_pairs, 2)
-    do_cx = blocks[:, 2] < cfg.crossover_rate
+    # children 2i and 2i+1 come from pair i: verbatim copies of its parents
+    # unless the pair crosses over
+    parents = _pick(cum, blocks[:, :2])
+    children = perms[parents.ravel()]
+    child_costs = costs[parents.ravel()]
+    crossed = blocks[:, 2] < cfg.crossover_rate
+    dirty = np.repeat(crossed, 2)  # cost unknown until evaluated
+    if crossed.any():
+        cuts = np.sort((blocks[crossed, 3:5] * (n + 1)).astype(np.int64), axis=1)
+        pa, pb = parents[crossed].T
+        c1, c2 = order_crossover_two_point(perms[pa], perms[pb], cuts[:, 0], cuts[:, 1])
+        children[0::2][crossed] = c1
+        children[1::2][crossed] = c2
 
-    child_perms: list[np.ndarray] = []
-    child_costs: list[int | None] = []  # None until the batch evaluation below
-    from_crossover: list[int] = []
-    for pair in range(n_pairs):
-        pa = population[parent_idx[pair, 0]]
-        pb = population[parent_idx[pair, 1]]
-        if do_cx[pair]:
-            blk = blocks[pair]
-            cut1, cut2 = sorted((int(blk[3] * (n + 1)), int(blk[4] * (n + 1))))
-            for child in order_crossover_two_point(pa.perm, pb.perm, cut1, cut2):
-                from_crossover.append(len(child_perms))
-                child_perms.append(child)
-                child_costs.append(None)
-        else:
-            for parent in (pa, pb):
-                child_perms.append(parent.perm.copy())
-                child_costs.append(parent.cost)
+    # mutations before evaluation, so crossover children need one batch;
+    # copies are swap-delta'd against their parent's cost first
+    evals = 0
+    coin, u_a, u_b = blocks[:, 5:].reshape(-1, 3).T  # one row per child
+    mutated = np.flatnonzero(coin < cfg.mutation_rate)
+    if n >= 2 and mutated.size:
+        a, b = _swap_positions(n, u_a[mutated], u_b[mutated])
+        copies = ~dirty[mutated]
+        child_costs[mutated[copies]] += _swap_deltas(
+            inst, children[mutated[copies]], a[copies], b[copies]
+        )
+        evals += int(copies.sum())
+        _swap_rows(children, a, b, mutated)
 
-    # mutations first, so crossover children need a single batched evaluation
-    if n >= 2 and cfg.mutation_rate > 0:
-        for pair in range(n_pairs):
-            blk = blocks[pair]
-            for slot, coin_i in ((0, 5), (1, 8)):
-                if blk[coin_i] >= cfg.mutation_rate:
-                    continue
-                idx = 2 * pair + slot
-                perm = child_perms[idx]
-                a, b = _swap_positions(n, blk[coin_i + 1], blk[coin_i + 2])
-                if child_costs[idx] is not None:
-                    if fast:
-                        child_costs[idx] += _swap_delta_unchecked(flow, dist, perm, a, b)
-                        evals += 1
-                    else:
-                        child_costs[idx] = None  # big-int path: full re-evaluation
-                perm[a], perm[b] = perm[b], perm[a]
+    child_costs[dirty] = _costs(inst, children[dirty])
+    evals += int(dirty.sum())
 
-    to_eval = [i for i, c in enumerate(child_costs) if c is None]
-    if to_eval:
-        stacked = np.stack([child_perms[i] for i in to_eval])
-        if fast:
-            batch = np.einsum(
-                "ij,pij->p", flow, dist[stacked[:, :, None], stacked[:, None, :]]
-            )
-            for i, c in zip(to_eval, batch):
-                child_costs[i] = int(c)
-        else:
-            for i in to_eval:
-                child_costs[i] = evaluate_cost(inst, child_perms[i])
-        evals += len(to_eval)
-
-    child_perms = child_perms[:n_offspring]
-    child_costs = child_costs[:n_offspring]
-    assert _assert_bijections(np.stack(child_perms)) if child_perms else True
+    assert (np.sort(children, axis=1) == np.arange(n)).all()
     if _counter is not None:
         _counter[0] += evals
-    next_gen.extend(
-        Chromosome(p, int(c)) for p, c in zip(child_perms, child_costs)
+    return (
+        np.concatenate([perms[elite_idx], children[:n_offspring]]),
+        np.concatenate([costs[elite_idx], child_costs[:n_offspring]]),
     )
-    return next_gen
 
 
 def run(inst: Instance, cfg: GaConfig) -> GaResult:
     """Full GA run: evolve until max_generations, target_cost, or time limit."""
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
-    counter = [0]
-    population = init_population(inst, cfg.population_size, rng)
-    counter[0] += cfg.population_size
+    perms, costs = init_population(inst, cfg.population_size, rng)
+    counter = [cfg.population_size]
 
-    best = min(population, key=lambda c: c.cost)
-    history = [best.cost]
+    i = int(np.argmin(costs))
+    best_perm, best_cost = perms[i], int(costs[i])
+    history = [best_cost]
     generations = 0
 
     def done():
-        if cfg.target_cost is not None and best.cost <= cfg.target_cost:
+        if cfg.target_cost is not None and best_cost <= cfg.target_cost:
             return True
         if cfg.time_limit_s is not None and time.perf_counter() - start >= cfg.time_limit_s:
             return True
         return False
 
     while generations < cfg.max_generations and not done():
-        population = evolve_step(inst, population, cfg, rng, counter)
+        perms, costs = evolve_step(inst, perms, costs, cfg, rng, counter)
         generations += 1
-        gen_best = min(population, key=lambda c: c.cost)
-        if gen_best.cost < best.cost:
-            best = gen_best
-        history.append(best.cost)
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_perm, best_cost = perms[i], int(costs[i])
+        history.append(best_cost)
 
     return GaResult(
-        best=best,
+        best=Chromosome(best_perm.copy(), best_cost),
         generations_run=generations,
         evaluations=counter[0],
         wall_time_s=time.perf_counter() - start,

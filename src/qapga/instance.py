@@ -6,8 +6,8 @@ of p is the full double sum over ordered facility pairs, diagonal included:
 
     cost(p) = sum_{i,k} flow[i][k] * dist[p[i]][p[k]]
 
-All arithmetic is integer; results that do not fit a signed 64-bit range
-raise CostOverflowError instead of wrapping.
+Matrices are held as int64.  All arithmetic is integer; results that do not
+fit a signed 64-bit range raise CostOverflowError instead of wrapping.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+# most gathered cost cells per einsum in the int64 path; bounds peak memory
+_CHUNK_CELLS = 1 << 16
 
 
 class QapError(Exception):
@@ -32,27 +34,48 @@ class CostOverflowError(QapError):
     """Cost does not fit in a signed 64-bit integer."""
 
 
+def _as_int64(label: str, m) -> np.ndarray:
+    """m as an int64 array; non-integral, negative or too large entries are errors."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "biuf":
+        raise ValueError(f"{label} matrix must hold integers, got dtype {m.dtype}")
+    if m.dtype.kind == "f" and not (np.isfinite(m) & (m == np.trunc(m))).all():
+        raise ValueError(f"{label} matrix has non-integral entries")
+    if (m < 0).any():
+        raise ValueError(f"{label} matrix has negative entries")
+    if m.size and int(m.max()) > INT64_MAX:
+        raise ValueError(f"{label} matrix has entries beyond signed 64-bit range")
+    return m.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A QAP instance: size n plus flow and distance matrices."""
+    """A QAP instance: size n plus flow and distance matrices.
+
+    The matrices are stored as read-only int64.  fits_int64 is true when the
+    worst-case cost n^2 * max(flow) * max(dist) fits in int64, so that every
+    cost and swap delta can be computed in int64 without overflow.
+    """
 
     name: str
     n: int
     flow: np.ndarray
     dist: np.ndarray
+    fits_int64: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        for label, m in (("flow", self.flow), ("dist", self.dist)):
+        for label in ("flow", "dist"):
+            m = _as_int64(label, getattr(self, label))
             if m.shape != (self.n, self.n):
                 raise ValueError(
                     f"{label} matrix must be {self.n}x{self.n}, got {m.shape}"
                 )
-            if (m < 0).any():
-                raise ValueError(f"{label} matrix has negative entries")
-        self.flow.setflags(write=False)
-        self.dist.setflags(write=False)
+            m.setflags(write=False)
+            object.__setattr__(self, label, m)
+        worst = self.n * self.n * int(self.flow.max()) * int(self.dist.max())
+        object.__setattr__(self, "fits_int64", worst <= INT64_MAX)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -130,7 +153,12 @@ def parse_qaplib(text: str, name: str = "") -> Instance:
             raise
         if v < 0:
             raise ParseError(f"negative matrix entry {v} at {pos}")
-        values[idx] = v
+        try:
+            values[idx] = v
+        except OverflowError:
+            raise ParseError(
+                f"matrix entry {v} at {pos} exceeds signed 64-bit range"
+            ) from None
 
     for tok, pos in tokens:
         raise ParseError(f"trailing garbage {tok!r} at {pos}")
@@ -148,58 +176,75 @@ def render_qaplib(inst: Instance) -> str:
     return f"{inst.n}\n\n{rows(inst.flow)}\n\n{rows(inst.dist)}\n"
 
 
-def _check_overflow_budget(inst: Instance) -> bool:
-    """True if the worst-case cost sum provably fits in int64."""
-    a = int(inst.flow.max(initial=0))
-    b = int(inst.dist.max(initial=0))
-    return inst.n * inst.n * a * b <= INT64_MAX
+def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
+    """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
 
-
-def _cost_unchecked(flow: np.ndarray, dist: np.ndarray, p: np.ndarray) -> int:
-    return int((flow * dist[np.ix_(p, p)]).sum())
+    Within the instance's int64 budget this is a gather-and-einsum over
+    chunks of at most _CHUNK_CELLS cells; otherwise each row is summed in
+    Python integers and a cost beyond int64 raises CostOverflowError.
+    """
+    out = np.empty(len(perms), dtype=np.int64)
+    if inst.fits_int64:
+        rows = max(1, _CHUNK_CELLS // (inst.n * inst.n))
+        for s in range(0, len(perms), rows):
+            q = perms[s : s + rows]
+            out[s : s + rows] = np.einsum(
+                "ij,pij->p", inst.flow, inst.dist[q[:, :, None], q[:, None, :]]
+            )
+        return out
+    fl = inst.flow.tolist()
+    di = inst.dist.tolist()
+    for r, p in enumerate(perms.tolist()):
+        total = sum(f * di[i][k] for row_f, i in zip(fl, p) for f, k in zip(row_f, p))
+        if total > INT64_MAX:
+            raise CostOverflowError(f"cost {total} exceeds signed 64-bit range")
+        out[r] = total
+    return out
 
 
 def evaluate_cost(inst: Instance, p: np.ndarray) -> int:
     """Exact cost of permutation p: sum over all ordered pairs, diagonal included."""
     p = check_permutation(p, inst.n)
-    if _check_overflow_budget(inst):
-        return _cost_unchecked(inst.flow, inst.dist, p)
-    # exact big-int path, only hit when int64 cannot be guaranteed up front
-    total = 0
-    fl = inst.flow.tolist()
-    di = inst.dist.tolist()
-    pl = p.tolist()
-    for i in range(inst.n):
-        row_f = fl[i]
-        row_d = di[pl[i]]
-        for k in range(inst.n):
-            total += row_f[k] * row_d[pl[k]]
-    if total > INT64_MAX:
-        raise CostOverflowError(f"cost {total} exceeds signed 64-bit range")
-    return total
+    return int(_costs(inst, p[None])[0])
 
 
-def _swap_delta_unchecked(
-    flow: np.ndarray, dist: np.ndarray, p: np.ndarray, i: int, k: int
-) -> int:
-    """Cost change from exchanging p[i] and p[k], O(n), no symmetry assumed.
+def _swap_deltas(
+    inst: Instance, perms: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Exact cost change of exchanging perms[r, a[r]] and perms[r, b[r]], per row.
 
-    Only terms touching facility i or k change.  The j-sums below cover all
-    other facilities; the four cells within {i, k} (diagonals included) are
-    handled explicitly.
+    O(n) per row, no symmetry assumed: only terms touching facility a or b
+    change.  The j-sums cover all facilities and the two cells at j in
+    {a, b} are taken back out; the four cells within {a, b} (diagonals
+    included) are added explicitly.  Outside the int64 budget the deltas are
+    differences of exact full evaluations.
     """
-    u = p[i]
-    v = p[k]
-    row_u, row_v = dist[u, p], dist[v, p]
-    col_u, col_v = dist[p, u], dist[p, v]
-    cross = (
-        (flow[i] - flow[k]) * (row_v - row_u)
-        + (flow[:, i] - flow[:, k]) * (col_v - col_u)
+    if not inst.fits_int64:
+        swapped = perms.copy()
+        _swap_rows(swapped, a, b)
+        return _costs(inst, swapped) - _costs(inst, perms)
+    flow, dist = inst.flow, inst.dist
+    rows = np.arange(len(perms))
+    u = perms[rows, a][:, None]
+    v = perms[rows, b][:, None]
+    cross = (flow[a] - flow[b]) * (dist[v, perms] - dist[u, perms]) + (
+        flow[:, a].T - flow[:, b].T
+    ) * (dist[perms, v] - dist[perms, u])
+    u, v = u[:, 0], v[:, 0]
+    return (
+        cross.sum(axis=1)
+        - cross[rows, a]
+        - cross[rows, b]
+        + (flow[a, a] - flow[b, b]) * (dist[v, v] - dist[u, u])
+        + (flow[a, b] - flow[b, a]) * (dist[v, u] - dist[u, v])
     )
-    delta = int(cross.sum()) - int(cross[i]) - int(cross[k])
-    delta += int(flow[i, i] - flow[k, k]) * int(dist[v, v] - dist[u, u])
-    delta += int(flow[i, k] - flow[k, i]) * int(dist[v, u] - dist[u, v])
-    return delta
+
+
+def _swap_rows(perms: np.ndarray, a, b, rows=None) -> None:
+    """Exchange perms[r, a] and perms[r, b] in place, pairing the r-th entry of
+    rows (default: every row) with the r-th entries of a and b."""
+    rows = np.arange(len(perms)) if rows is None else rows
+    perms[rows, a], perms[rows, b] = perms[rows, b], perms[rows, a]
 
 
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
@@ -209,8 +254,4 @@ def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> i
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
-    if not _check_overflow_budget(inst):
-        q = p.copy()
-        q[i], q[k] = q[k], q[i]
-        return evaluate_cost(inst, q)
-    return current + _swap_delta_unchecked(inst.flow, inst.dist, p, i, k)
+    return current + int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])

@@ -4,12 +4,12 @@ generator for property tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, islice, permutations
 from math import factorial
 
 import numpy as np
 
-from .instance import Instance, _check_overflow_budget, _cost_unchecked, evaluate_cost
+from .instance import _CHUNK_CELLS, Instance, _costs
 
 DEFAULT_LIMIT = 10
 
@@ -28,23 +28,30 @@ class OracleResult:
 def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Enumerate all n! permutations; deterministic lexicographic tie-break.
 
-    itertools.permutations yields in lexicographic order, so keeping the
-    first strict improvement gives the lexicographically smallest argmin.
+    itertools.permutations yields in lexicographic order and is evaluated in
+    chunks of rows; keeping the first minimum of each chunk and the first
+    strict improvement across chunks gives the lexicographically smallest
+    argmin.
     """
     if inst.n > limit:
         raise OracleLimitError(
             f"n={inst.n} exceeds the enumeration limit {limit}; refusing"
         )
-    flow, dist = inst.flow, inst.dist
-    fast = _check_overflow_budget(inst)
+    n = inst.n
+    rows = max(1, _CHUNK_CELLS // (n * n))
+    perms = permutations(range(n))
     best_cost = None
     best_perm = None
-    for perm in permutations(range(inst.n)):
-        p = np.array(perm, dtype=np.int64)
-        cost = _cost_unchecked(flow, dist, p) if fast else evaluate_cost(inst, p)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_perm = p
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(perms, rows)), dtype=np.int64)
+        if not chunk.size:
+            break
+        chunk = chunk.reshape(-1, n)
+        costs = _costs(inst, chunk)
+        i = int(np.argmin(costs))
+        if best_cost is None or costs[i] < best_cost:
+            best_cost = int(costs[i])
+            best_perm = chunk[i].copy()
     return OracleResult(optimum=best_cost, argmin=best_perm, explored=factorial(inst.n))
 
 

@@ -50,6 +50,13 @@ class TestSolve:
         assert status == 2
         assert "matrix entries" in err
 
+    def test_entry_beyond_int64_exits_2(self, tmp_path):
+        p = tmp_path / "huge.dat"
+        p.write_text(f"1\n{2**63}\n0\n")
+        status, _, err = invoke(["solve", str(p)])
+        assert status == 2
+        assert "2:1" in err and "Traceback" not in err
+
     def test_unknown_flag_exits_1(self, tiny1_path):
         status, _, err = invoke(["solve", str(tiny1_path), "--frobnicate"])
         assert status == 1
@@ -147,15 +154,9 @@ class TestBench:
 
 def test_cli_defaults_mirror_config_defaults():
     from qapga import GaConfig
-    from qapga.cli import _build_parser
-    defaults = GaConfig()
+    from qapga.cli import _build_parser, _config_from
     args = _build_parser().parse_args(["solve", "dummy.dat"])
-    assert args.pop == defaults.population_size
-    assert args.generations == defaults.max_generations
-    assert args.cx_rate == defaults.crossover_rate
-    assert args.mut_rate == defaults.mutation_rate
-    assert args.elitism == defaults.elitism_count
-    assert args.seed == defaults.rng_seed
+    assert _config_from(args) == GaConfig()
 
 
 class TestConfigFlag:

@@ -26,17 +26,17 @@ def is_bijection(p, n):
 class TestInitPopulation:
     def test_n1_all_identical(self):
         inst = Instance("one", 1, np.array([[3]], np.int64), np.array([[2]], np.int64))
-        pop = init_population(inst, 2, np.random.default_rng(0))
-        assert [c.perm.tolist() for c in pop] == [[0], [0]]
-        assert all(c.cost == 6 for c in pop)
+        perms, costs = init_population(inst, 2, np.random.default_rng(0))
+        assert perms.tolist() == [[0], [0]]
+        assert all(c == 6 for c in costs)
 
     def test_all_feasible_with_cached_costs(self):
         rng = np.random.default_rng(1)
         inst = random_instance(5, 10, rng=rng)
-        pop = init_population(inst, 50, rng)
-        for c in pop:
-            assert is_bijection(c.perm, 5)
-            assert c.cost == evaluate_cost(inst, c.perm)
+        perms, costs = init_population(inst, 50, rng)
+        for perm, cost in zip(perms, costs):
+            assert is_bijection(perm, 5)
+            assert cost == evaluate_cost(inst, perm)
 
     def test_rejects_size_below_two(self):
         inst = random_instance(3, 5, rng=np.random.default_rng(2))
@@ -45,10 +45,10 @@ class TestInitPopulation:
 
     def test_uniform_over_permutations_n3(self):
         inst = random_instance(3, 5, rng=np.random.default_rng(3))
-        pop = init_population(inst, 60000, np.random.default_rng(17))
+        perms, _ = init_population(inst, 60000, np.random.default_rng(17))
         counts = {}
-        for c in pop:
-            counts[tuple(c.perm.tolist())] = counts.get(tuple(c.perm.tolist()), 0) + 1
+        for perm in perms:
+            counts[tuple(perm.tolist())] = counts.get(tuple(perm.tolist()), 0) + 1
         assert len(counts) == 6
         for freq in counts.values():
             assert abs(freq / 60000 - 1 / 6) < 0.01
@@ -100,6 +100,17 @@ class TestCrossover:
             assert is_bijection(c1, n) and is_bijection(c2, n)
             assert c1[cut1:cut2].tolist() == p1[cut1:cut2].tolist()
             assert c2[cut1:cut2].tolist() == p2[cut1:cut2].tolist()
+
+    def test_stacked_pairs_match_row_by_row(self):
+        rng = np.random.default_rng(12)
+        n, m = 9, 40
+        p1 = np.stack([rng.permutation(n) for _ in range(m)])
+        p2 = np.stack([rng.permutation(n) for _ in range(m)])
+        cuts = np.sort(rng.integers(0, n + 1, (m, 2)), axis=1)
+        c1, c2 = order_crossover_two_point(p1, p2, cuts[:, 0], cuts[:, 1])
+        for r in range(m):
+            e1, e2 = order_crossover_two_point(p1[r], p2[r], *cuts[r])
+            assert c1[r].tolist() == e1.tolist() and c2[r].tolist() == e2.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -173,6 +184,27 @@ class TestSelection:
         assert (w > 0).all()
         assert w[0] > w[1] > w[2]
 
+    def test_costs_near_1e17_stay_positive(self):
+        costs = 10**17 + np.arange(100, dtype=np.int64) * 10**12
+        w = selection_weights(costs)
+        assert (w > 0).all()
+        assert abs(w.sum() - 1.0) < 1e-9
+
+    def test_costs_near_2_62_do_not_overflow(self):
+        # float64 cannot tell these weights apart; they must not wrap or raise
+        w = selection_weights([2**62, 2**62 + 5])
+        assert (w > 0).all() and w[0] >= w[1]
+        assert abs(w.sum() - 1.0) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=60))
+    def test_weights_property(self, costs):
+        w = selection_weights(costs)
+        assert np.isfinite(w).all() and (w > 0).all()
+        assert abs(w.sum() - 1.0) < 1e-9
+        order = np.argsort(np.array(costs, dtype=np.int64), kind="stable")
+        assert (np.diff(w[order]) <= 0).all()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             selection_weights([])
@@ -212,43 +244,65 @@ class TestEvolveStep:
         inst = random_instance(6, 10, rng=rng)
         cfg = GaConfig(population_size=10, crossover_rate=0.0, mutation_rate=0.0,
                        elitism_count=9)
-        pop = init_population(inst, 10, rng)
-        nxt = evolve_step(inst, pop, cfg, rng)
-        current = {tuple(c.perm.tolist()) for c in pop}
-        assert len(nxt) == 10
-        assert all(tuple(c.perm.tolist()) in current for c in nxt)
+        perms, costs = init_population(inst, 10, rng)
+        nxt_perms, nxt_costs = evolve_step(inst, perms, costs, cfg, rng)
+        current = {tuple(p.tolist()) for p in perms}
+        assert len(nxt_perms) == 10
+        assert all(tuple(p.tolist()) in current for p in nxt_perms)
         from collections import Counter
-        elite = Counter(sorted(c.cost for c in pop)[:9])
-        have = Counter(c.cost for c in nxt)
+        elite = Counter(sorted(costs.tolist())[:9])
+        have = Counter(nxt_costs.tolist())
         assert all(have[cost] >= cnt for cost, cnt in elite.items())
 
     def test_elitism_keeps_best(self):
         rng = np.random.default_rng(32)
         inst = random_instance(7, 10, rng=rng)
         cfg = GaConfig(population_size=20, elitism_count=1)
-        pop = init_population(inst, 20, rng)
+        perms, costs = init_population(inst, 20, rng)
         for _ in range(30):
-            best_before = min(c.cost for c in pop)
-            pop = evolve_step(inst, pop, cfg, rng)
-            assert min(c.cost for c in pop) <= best_before
+            best_before = min(costs)
+            perms, costs = evolve_step(inst, perms, costs, cfg, rng)
+            assert min(costs) <= best_before
 
     def test_costs_stay_consistent(self):
         rng = np.random.default_rng(33)
         inst = random_instance(6, 15, rng=rng)
         cfg = GaConfig(population_size=30)
-        pop = init_population(inst, 30, rng)
+        perms, costs = init_population(inst, 30, rng)
         for _ in range(20):
-            pop = evolve_step(inst, pop, cfg, rng)
-            for c in pop:
-                check_permutation(c.perm, inst.n)
-                assert c.cost == evaluate_cost(inst, c.perm)
+            perms, costs = evolve_step(inst, perms, costs, cfg, rng)
+            for perm, cost in zip(perms, costs):
+                check_permutation(perm, inst.n)
+                assert cost == evaluate_cost(inst, perm)
 
     def test_rejects_wrong_population_size(self):
         rng = np.random.default_rng(34)
         inst = random_instance(4, 5, rng=rng)
-        pop = init_population(inst, 10, rng)
+        perms, costs = init_population(inst, 10, rng)
         with pytest.raises(ValueError):
-            evolve_step(inst, pop, GaConfig(population_size=12), rng)
+            evolve_step(inst, perms, costs, GaConfig(population_size=12), rng)
+
+    def test_runs_the_module_operators(self, monkeypatch):
+        # evolve_step looks its operators up as module globals, so the tested
+        # kernels are the ones a generation runs
+        import qapga.ga as ga
+        calls = {"order_crossover_two_point": 0, "selection_weights": 0,
+                 "_pick": 0, "_swap_positions": 0}
+        for name in calls:
+            real = getattr(ga, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(ga, name, counting)
+        rng = np.random.default_rng(35)
+        inst = random_instance(6, 10, rng=rng)
+        perms, costs = init_population(inst, 20, rng)
+        evolve_step(inst, perms, costs, GaConfig(population_size=20), rng)
+        assert all(v == 1 for v in calls.values()), calls
+        no_cx = GaConfig(population_size=20, crossover_rate=0.0)
+        evolve_step(inst, perms, costs, no_cx, rng)
+        assert calls["order_crossover_two_point"] == 1
 
 
 class TestRun:

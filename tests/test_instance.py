@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qapga import (
     CostOverflowError,
@@ -64,6 +66,12 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing garbage '9'"):
             parse_qaplib("2\n0 1\n1 0\n0 3\n3 0\n9")
+
+    def test_entry_beyond_int64_reports_position(self):
+        with pytest.raises(ParseError, match=r"at 3:3"):
+            parse_qaplib(f"2\n0 1\n1 {2**63}\n0 3\n3 0")
+        inst = parse_qaplib(f"1\n{2**63 - 1}\n1")
+        assert inst.flow.tolist() == [[2**63 - 1]]
 
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):
@@ -139,6 +147,26 @@ class TestEvaluateCost:
         inst = Instance("edge", n, flow, dist)
         assert evaluate_cost(inst, np.arange(n)) == 2**60
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_up_to_the_int64_edge(self, data):
+        # exact against a Python big-int sum, or CostOverflowError; never wrapped
+        n = data.draw(st.integers(1, 6))
+        entries = st.integers(0, 2**32)
+        flow = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                        np.int64).reshape(n, n)
+        dist = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                        np.int64).reshape(n, n)
+        p = np.array(data.draw(st.permutations(range(n))))
+        inst = Instance("edge", n, flow, dist)
+        ref = sum(int(flow[i, k]) * int(dist[p[i], p[k]])
+                  for i in range(n) for k in range(n))
+        if ref > 2**63 - 1:
+            with pytest.raises(CostOverflowError):
+                evaluate_cost(inst, p)
+        else:
+            assert evaluate_cost(inst, p) == ref
+
 
 class TestSwapDelta:
     def test_zero_flow(self):
@@ -173,6 +201,24 @@ class TestSwapDelta:
             q[i], q[k] = q[k], q[i]
             assert swap_delta(inst, p, c, i, k) == evaluate_cost(inst, q)
 
+    def test_row_batched_deltas_match_swap_delta(self):
+        from qapga.instance import _swap_deltas
+        rng = np.random.default_rng(98)
+        for fits in (True, False):
+            n = 8
+            inst = random_instance(n, 40, rng=rng)
+            if not fits:  # worst case beyond int64, true costs far below it
+                flow = inst.flow.copy()
+                flow[0, 0] = 2**56
+                inst = Instance("edge", n, flow, inst.dist)
+            assert inst.fits_int64 is fits
+            perms = np.stack([rng.permutation(n) for _ in range(30)])
+            ab = np.stack([rng.choice(n, 2, replace=False) for _ in range(30)])
+            deltas = _swap_deltas(inst, perms, ab[:, 0], ab[:, 1])
+            for p, (i, k), d in zip(perms, ab, deltas):
+                c = evaluate_cost(inst, p)
+                assert swap_delta(inst, p, c, int(i), int(k)) == c + int(d)
+
     def test_rejects_equal_indices(self, tiny3):
         with pytest.raises(ValueError, match="distinct"):
             swap_delta(tiny3, np.array([0, 1, 2]), 64, 1, 1)
@@ -197,6 +243,32 @@ class TestInstanceInvariants:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError, match=">= 1"):
             Instance("bad", 0, np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64))
+
+    def test_int32_entries_are_widened(self):
+        m = np.full((4, 4), 50000, np.int32)
+        inst = Instance("i32", 4, m, m)
+        assert inst.flow.dtype == np.int64 and inst.dist.dtype == np.int64
+        assert evaluate_cost(inst, np.arange(4)) == 4 * 10**10
+
+    def test_integral_floats_accepted(self):
+        inst = Instance("f", 2, np.array([[0.0, 2.0], [3.0, 0.0]]),
+                        np.array([[0, 5], [7, 0]], np.uint8))
+        assert inst.flow.dtype == np.int64 and inst.dist.dtype == np.int64
+        assert evaluate_cost(inst, np.arange(2)) == 2 * 5 + 3 * 7
+
+    def test_rejects_non_integral_floats(self):
+        m = np.zeros((2, 2), np.int64)
+        with pytest.raises(ValueError, match="integ"):
+            Instance("bad", 2, np.array([[0.0, 1.5], [1.0, 0.0]]), m)
+        with pytest.raises(ValueError, match="integ"):
+            Instance("bad", 2, m, np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    def test_rejects_values_beyond_int64(self):
+        m = np.zeros((2, 2), np.int64)
+        with pytest.raises(ValueError, match="64-bit"):
+            Instance("bad", 2, np.array([[0, 2**63], [1, 0]], np.uint64), m)
+        with pytest.raises(ValueError, match="64-bit"):
+            Instance("bad", 2, m, np.array([[0.0, 1e19], [1.0, 0.0]]))
 
     def test_matrices_are_frozen(self, tiny3):
         with pytest.raises(ValueError):
