@@ -179,23 +179,29 @@ def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
     rows = []
     if format == "csv":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        header = next(reader, None)
         if header != REPORT_HEADER:
             raise BenchError(f"unexpected report header: {header}")
         for row in reader:
             if not row:
                 continue
-            rows.append(
-                BenchRow(row[0], int(row[1]), int(row[2]), int(row[3]),
-                         float(row[4]), int(row[5]), float(row[6]))
-            )
+            try:
+                rows.append(
+                    BenchRow(row[0], int(row[1]), int(row[2]), int(row[3]),
+                             float(row[4]), int(row[5]), float(row[6]))
+                )
+            except (IndexError, ValueError):
+                raise BenchError(f"line {reader.line_num}: bad report row {row}") from None
         return rows
     if format == "json":
-        for d in json.loads(text):
-            rows.append(
-                BenchRow(d["instance"], d["seeds"], d["best_found"], d["best_known"],
-                         d["gap"], d["generations"], d["total_time_s"],
-                         d.get("per_seed_time_s", []))
-            )
+        for idx, d in enumerate(json.loads(text), start=1):
+            try:
+                rows.append(
+                    BenchRow(d["instance"], d["seeds"], d["best_found"], d["best_known"],
+                             d["gap"], d["generations"], d["total_time_s"],
+                             d.get("per_seed_time_s", []))
+                )
+            except (KeyError, TypeError) as e:
+                raise BenchError(f"record {idx}: missing or malformed field {e}") from None
         return rows
     raise ValueError(f"unknown report format {format!r}")

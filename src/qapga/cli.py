@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
 from .ga import _CONFIG_FIELDS, GaConfig, config_from_text, run
 from .instance import QapError, parse_qaplib
 from .oracle import DEFAULT_LIMIT, OracleLimitError, exhaustive_optimum
-
-_DEFAULTS = GaConfig()
 
 
 class _UsageError(Exception):
@@ -41,24 +40,24 @@ _GA_FLAGS = {
 }
 
 
-def _add_ga_flags(p: argparse.ArgumentParser, base: dict, skip=()):
+def _add_ga_flags(p: argparse.ArgumentParser, skip=()):
     p.add_argument("--config", type=Path, default=None,
                    help="flat key = value config file; explicit flags override it")
     for name, kind in _CONFIG_FIELDS.items():
         if name not in skip:
             flag, text = _GA_FLAGS[name]
-            p.add_argument(flag, dest=name, type=kind,
-                           default=base.get(name, getattr(_DEFAULTS, name)), help=text)
+            # absent unless given, so _config_from can tell explicit flags apart
+            p.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS,
+                           help=text)
 
 
-def _build_parser(config_defaults: dict | None = None) -> _Parser:
-    base = config_defaults or {}
+def _build_parser() -> _Parser:
     parser = _Parser(prog="qapga", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     solve = sub.add_parser("solve", help="run the GA on one instance")
     solve.add_argument("instance", type=Path)
-    _add_ga_flags(solve, base)
+    _add_ga_flags(solve)
 
     bench = sub.add_parser("bench", help="run the benchmark suite")
     bench.add_argument("--dir", type=Path, required=True,
@@ -67,7 +66,7 @@ def _build_parser(config_defaults: dict | None = None) -> _Parser:
                        help="best-known values CSV (name,best_known,source)")
     bench.add_argument("--seeds", type=str, default="1..10",
                        help="seed list: comma-separated or a..b range")
-    _add_ga_flags(bench, base, skip=("rng_seed",))
+    _add_ga_flags(bench, skip=("rng_seed",))
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", type=Path, default=None,
                        help="write the report here instead of stdout")
@@ -94,21 +93,33 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _config_from(args) -> GaConfig:
-    return GaConfig(**{name: getattr(args, name) for name in _CONFIG_FIELDS
-                       if hasattr(args, name)})
+    """GaConfig defaults, then the --config file, then the explicit flags."""
+    cfg = GaConfig()
+    if args.config is not None:
+        try:
+            text = args.config.read_text()
+        except OSError as e:
+            raise QapError(f"cannot read {args.config}: {e}") from None
+        try:
+            cfg = config_from_text(text)
+        except ValueError as e:
+            raise QapError(f"bad config file {args.config}: {e}") from None
+    return replace(cfg, **{name: getattr(args, name) for name in _CONFIG_FIELDS
+                           if hasattr(args, name)})
 
 
 def _load_instance(path: Path):
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as e:
         raise QapError(f"cannot read {path}: {e}") from None
-    return parse_qaplib(text, name=path.stem)
+    return parse_qaplib(data, name=path.stem)
 
 
 def _cmd_solve(args, out) -> int:
+    cfg = _config_from(args)
     inst = _load_instance(args.instance)
-    result = run(inst, _config_from(args))
+    result = run(inst, cfg)
     perm_1based = " ".join(str(v + 1) for v in result.best.perm)
     print(f"instance: {inst.name} (n={inst.n})", file=out)
     print(f"best permutation: {perm_1based}", file=out)
@@ -124,6 +135,7 @@ def _cmd_bench(args, out) -> int:
         seeds = _parse_seeds(args.seeds)
     except ValueError as e:
         raise _UsageError(f"bad --seeds value {args.seeds!r}: {e}") from None
+    cfg = _config_from(args)
     try:
         baseline_text = args.baselines.read_text()
     except OSError as e:
@@ -133,7 +145,7 @@ def _cmd_bench(args, out) -> int:
     if not paths:
         raise QapError(f"no .dat files found in {args.dir}")
     instances = [_load_instance(p) for p in paths]
-    rows = bench_mod.run_suite(instances, baselines, _config_from(args), seeds,
+    rows = bench_mod.run_suite(instances, baselines, cfg, seeds,
                                jobs=args.jobs)
     report = bench_mod.emit_report(rows, args.format)
     if args.out is not None:
@@ -154,38 +166,14 @@ def _cmd_oracle(args, out) -> int:
     return 0
 
 
-def _config_file_defaults(argv):
-    """Pre-scan argv for --config and turn the file into parser defaults,
-    so explicitly passed flags still win."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = Path(argv[i + 1])
-        elif arg.startswith("--config="):
-            path = Path(arg.split("=", 1)[1])
-    if path is None:
-        return {}
-    try:
-        cfg = config_from_text(path.read_text())
-    except OSError as e:
-        raise QapError(f"cannot read {path}: {e}") from None
-    except ValueError as e:
-        raise QapError(f"bad config file {path}: {e}") from None
-    return {name: getattr(cfg, name) for name in _CONFIG_FIELDS}
-
-
 def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        args = _build_parser(_config_file_defaults(argv)).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as e:
         print(e, file=err)
         return 1
-    except QapError as e:
-        print(f"error: {e}", file=err)
-        return 2
     try:
         if args.subcommand == "solve":
             return _cmd_solve(args, out)

@@ -74,6 +74,8 @@ class GaConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0:  # nan too
+            raise ValueError("time_limit_s must be None or >= 0")
         if not (0 <= self.elitism_count < self.population_size):
             raise ValueError("elitism_count must be in [0, population_size)")
 

@@ -12,6 +12,7 @@ fit a signed 64-bit range raise CostOverflowError instead of wrapping.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -38,13 +39,13 @@ def _as_int64(label: str, m) -> np.ndarray:
     """m as an int64 array; non-integral, negative or too large entries are errors."""
     m = np.asarray(m)
     if m.dtype.kind not in "biuf":
-        raise ValueError(f"{label} matrix must hold integers, got dtype {m.dtype}")
+        raise ValueError(f"{label} must hold integers, got dtype {m.dtype}")
     if m.dtype.kind == "f" and not (np.isfinite(m) & (m == np.trunc(m))).all():
-        raise ValueError(f"{label} matrix has non-integral entries")
+        raise ValueError(f"{label} has non-integral entries")
     if (m < 0).any():
-        raise ValueError(f"{label} matrix has negative entries")
+        raise ValueError(f"{label} has negative entries")
     if m.size and int(m.max()) > INT64_MAX:
-        raise ValueError(f"{label} matrix has entries beyond signed 64-bit range")
+        raise ValueError(f"{label} has entries beyond signed 64-bit range")
     return m.astype(np.int64, copy=False)
 
 
@@ -67,7 +68,7 @@ class Instance:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for label in ("flow", "dist"):
-            m = _as_int64(label, getattr(self, label))
+            m = _as_int64(f"{label} matrix", getattr(self, label))
             if m.shape != (self.n, self.n):
                 raise ValueError(
                     f"{label} matrix must be {self.n}x{self.n}, got {m.shape}"
@@ -90,82 +91,69 @@ class Instance:
 
 def check_permutation(p: np.ndarray, n: int) -> np.ndarray:
     """Validate that p is a bijection on {0..n-1}; returns p as an int array."""
-    p = np.asarray(p, dtype=np.int64)
+    p = _as_int64("permutation", p)
     if p.shape != (n,):
         raise ValueError(f"permutation has length {p.shape}, expected ({n},)")
-    seen = np.zeros(n, dtype=bool)
-    if (p < 0).any() or (p >= n).any():
+    if (p >= n).any():
         raise ValueError("permutation entries out of range")
+    seen = np.zeros(n, dtype=bool)
     seen[p] = True
     if not seen.all():
         raise ValueError("permutation is not a bijection")
     return p
 
 
-_TOKEN = re.compile(rb"\S+")
+def _locate(data: bytes, k: int) -> tuple[str, str]:
+    """Text and 'line:col' of the k-th whitespace-separated token (col counts
+    bytes); only error messages need it, so it re-scans data from the start."""
+    m = next(itertools.islice(re.finditer(rb"\S+", data), k, None))
+    line = data.count(b"\n", 0, m.start()) + 1
+    col = m.start() - data.rfind(b"\n", 0, m.start())
+    return m.group().decode(errors="replace"), f"{line}:{col}"
 
 
-def _tokenize(text: str):
-    """Yield (token, 'line:col') for each whitespace-separated token."""
-    data = text.encode() if isinstance(text, str) else text
-    line = 1
-    line_start = 0
-    pos = 0
-    for m in _TOKEN.finditer(data):
-        line += data.count(b"\n", pos, m.start())
-        if b"\n" in data[pos : m.start()]:
-            line_start = data.rindex(b"\n", pos, m.start()) + 1
-        pos = m.start()
-        yield m.group().decode(), f"{line}:{m.start() - line_start + 1}"
-
-
-def parse_qaplib(text: str, name: str = "") -> Instance:
+def parse_qaplib(text: str | bytes, name: str = "") -> Instance:
     """Parse a QAPLIB .dat stream: n, then two n x n matrices row-major.
 
-    Tokens may be separated by any whitespace, including blank lines.
-    Raises ParseError with a line:column position on malformed input.
+    Every token is a run of ASCII digits [0-9]+, and tokens may be separated
+    by any ASCII whitespace, including blank lines.  Raises ParseError on
+    malformed input, naming the first bad token and its line:column.
     """
-    tokens = _tokenize(text)
-
-    def next_int(what):
-        try:
-            tok, pos = next(tokens)
-        except StopIteration:
-            raise ParseError(f"unexpected end of input: expected {what}") from None
-        try:
-            return int(tok), pos
-        except ValueError:
-            raise ParseError(f"malformed token {tok!r} at {pos}: expected {what}") from None
-
-    n, pos = next_int("instance size n")
+    data = text.encode() if isinstance(text, str) else text
+    tokens = data.split()
+    if not tokens:
+        raise ParseError("unexpected end of input: expected instance size n")
+    head = tokens[0]
+    if not (head.isdigit() or head[:1] == b"-" and head[1:].isdigit()):
+        tok, pos = _locate(data, 0)
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n")
+    n = int(head)
     if n < 1:
-        raise ParseError(f"instance size must be positive, got {n} at {pos}")
+        raise ParseError(f"instance size must be positive, got {n} at {_locate(data, 0)[1]}")
 
-    values = np.empty(2 * n * n, dtype=np.int64)
-    for idx in range(2 * n * n):
-        try:
-            v, pos = next_int("matrix entry")
-        except ParseError as e:
-            if "end of input" in str(e):
-                raise ParseError(
-                    f"expected {2 * n * n} matrix entries, found {idx}"
-                ) from None
-            raise
-        if v < 0:
-            raise ParseError(f"negative matrix entry {v} at {pos}")
-        try:
-            values[idx] = v
-        except OverflowError:
-            raise ParseError(
-                f"matrix entry {v} at {pos} exceeds signed 64-bit range"
-            ) from None
-
-    for tok, pos in tokens:
+    size = 2 * n * n
+    body = tokens[1 : 1 + size]
+    # up to 18 digits always fits int64; longer tokens take the exact check
+    if not all(map(bytes.isdigit, body)) or max(map(len, body), default=0) > 18:
+        for k, raw in enumerate(body, start=1):
+            if raw.isdigit() and int(raw) <= INT64_MAX:
+                continue
+            tok, pos = _locate(data, k)
+            if raw.isdigit():
+                raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
+            if raw[:1] == b"-" and raw[1:].isdigit():
+                raise ParseError(f"negative matrix entry {tok} at {pos}")
+            raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
+    if len(body) < size:
+        raise ParseError(f"expected {size} matrix entries, found {len(body)}")
+    if len(tokens) > 1 + size:
+        tok, pos = _locate(data, 1 + size)
         raise ParseError(f"trailing garbage {tok!r} at {pos}")
 
-    flow = values[: n * n].reshape(n, n).copy()
-    dist = values[n * n :].reshape(n, n).copy()
-    return Instance(name=name, n=n, flow=flow, dist=dist)
+    values = np.array(list(map(int, body)), dtype=np.int64)
+    return Instance(
+        name=name, n=n, flow=values[: n * n].reshape(n, n), dist=values[n * n :].reshape(n, n)
+    )
 
 
 def render_qaplib(inst: Instance) -> str:

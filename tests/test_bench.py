@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,16 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.rows(), "xml")
+
+    def test_malformed_rows_are_bench_errors(self):
+        csv_lines = emit_report(self.rows(), "csv").splitlines()
+        with pytest.raises(BenchError, match=r"line 3: bad report row \['chr12a', '10'\]"):
+            parse_report("\n".join(csv_lines[:2] + ["chr12a,10"]), "csv")
+        with pytest.raises(BenchError, match="line 2: bad report row"):
+            parse_report(csv_lines[0] + "\nnug12,ten,578,578,0,1,1.0\n", "csv")
+        with pytest.raises(BenchError, match="header"):
+            parse_report("", "csv")
+        records = json.loads(emit_report(self.rows(), "json"))
+        del records[1]["best_known"]
+        with pytest.raises(BenchError, match="record 2: .*'best_known'"):
+            parse_report(json.dumps(records), "json")

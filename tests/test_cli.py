@@ -57,6 +57,19 @@ class TestSolve:
         assert status == 2
         assert "2:1" in err and "Traceback" not in err
 
+    def test_huge_header_exits_2(self, tmp_path):
+        p = tmp_path / "short.dat"
+        p.write_text("100000\n1 2\n")
+        status, _, err = invoke(["solve", str(p)])
+        assert status == 2
+        assert "expected 20000000000 matrix entries, found 2" in err
+        assert "Traceback" not in err
+
+    def test_nan_time_limit_exits_2(self, tiny1_path):
+        status, _, err = invoke(["solve", str(tiny1_path), "--time-limit-s", "nan"])
+        assert status == 2
+        assert "time_limit_s" in err
+
     def test_unknown_flag_exits_1(self, tiny1_path):
         status, _, err = invoke(["solve", str(tiny1_path), "--frobnicate"])
         assert status == 1
@@ -181,3 +194,10 @@ class TestConfigFlag:
         status, _, err = invoke(["solve", str(tiny1_path), "--config", str(cfg)])
         assert status == 2
         assert "unknown config key" in err
+
+    def test_oracle_has_no_config_flag(self, tmp_path, tiny1_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("nonsense = 1\n")
+        status, _, err = invoke(["oracle", str(tiny1_path), "--config", str(cfg)])
+        assert status == 1
+        assert "usage" in err

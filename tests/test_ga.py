@@ -320,6 +320,11 @@ class TestRun:
         assert len(res.history) == 1
         assert res.best.cost == res.history[0]
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, float("-inf")])
+    def test_rejects_nan_and_negative_time_limit(self, limit):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            GaConfig(time_limit_s=limit)
+
     def test_history_non_increasing_best_tracked(self):
         rng = np.random.default_rng(42)
         inst = random_instance(8, 20, rng=rng)

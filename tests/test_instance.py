@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,32 @@ class TestParse:
         inst = parse_qaplib(f"1\n{2**63 - 1}\n1")
         assert inst.flow.tolist() == [[2**63 - 1]]
 
+    @pytest.mark.parametrize("tok", ["1_0", "+5", "\u0663", "0x1", "1e3"])
+    def test_only_ascii_digit_tokens(self, tok):
+        with pytest.raises(ParseError, match=re.escape(f"'{tok}' at 3:3")):
+            parse_qaplib(f"2\n0 1\n1 {tok}\n0 3\n3 0")
+        with pytest.raises(ParseError, match=re.escape(f"'{tok}' at 1:1")):
+            parse_qaplib(f"{tok}\n0\n0")
+
+    def test_first_bad_token_wins(self):
+        with pytest.raises(ParseError, match=f"{2**63} at 2:3"):
+            parse_qaplib(f"2\n0 {2**63} x\n0 3 3")
+        with pytest.raises(ParseError, match=r"'x' at 2:3"):
+            parse_qaplib(f"2\n0 x {2**63}\n0 3 3")
+        inst = parse_qaplib(f"1\n{'0' * 30}7\n1")
+        assert inst.flow.tolist() == [[7]]
+
+    def test_size_checked_before_allocating(self):
+        with pytest.raises(ParseError, match="expected 20000000000 matrix entries, found 2"):
+            parse_qaplib("100000\n1 2\n")
+        with pytest.raises(ParseError, match="matrix entries, found 0"):
+            parse_qaplib("99999999999999999999\n")
+
+    def test_bytes_input(self):
+        assert parse_qaplib(b"1\n3\n7\n").dist.tolist() == [[7]]
+        with pytest.raises(ParseError, match="malformed token .* at 2:1"):
+            parse_qaplib(b"1\n\xff\n7\n")
+
     def test_empty_input(self):
         with pytest.raises(ParseError, match="end of input"):
             parse_qaplib("   \n ")
@@ -100,6 +128,11 @@ class TestEvaluateCost:
     def test_rejects_non_bijection(self, tiny3):
         with pytest.raises(ValueError, match="bijection"):
             evaluate_cost(tiny3, np.array([0, 0, 2]))
+
+    def test_rejects_non_integral_entries(self, tiny3):
+        with pytest.raises(ValueError, match="non-integral"):
+            evaluate_cost(tiny3, [0.7, 1.2, 2.9])
+        assert evaluate_cost(tiny3, [0.0, 1.0, 2.0]) == 64
 
     def test_rejects_length_mismatch(self, tiny3):
         with pytest.raises(ValueError, match="length"):
