@@ -110,8 +110,7 @@ def run_suite(
         inst_cfg = cfg if cfg.target_cost is not None else replace(
             cfg, target_cost=baseline.best_known
         )
-        for seed in seeds:
-            tasks.append((inst, inst_cfg, seed))
+        tasks += [(inst, inst_cfg, seed) for seed in seeds]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -120,28 +119,20 @@ def run_suite(
         outcomes = [_run_one(t) for t in tasks]
 
     rows = []
-    per_inst = len(seeds)
     for idx, inst in enumerate(instances):
-        chunk = outcomes[idx * per_inst : (idx + 1) * per_inst]
-        best_found = min(c[0] for c in chunk)
-        baseline = by_name[inst.name.lower()]
-        times = [round(c[2], 3) for c in chunk]
+        best, generations, times = zip(*outcomes[idx * len(seeds) : (idx + 1) * len(seeds)])
+        best_known = by_name[inst.name.lower()].best_known
         rows.append(
-            BenchRow(
-                instance_name=inst.name,
-                seeds_run=per_inst,
-                best_found=best_found,
-                best_known=baseline.best_known,
-                gap=compute_gap(best_found, baseline.best_known),
-                generations=sum(c[1] for c in chunk),
-                total_time_s=round(sum(c[2] for c in chunk), 3),
-                per_seed_time_s=times,
-            )
+            BenchRow(inst.name, len(seeds), min(best), best_known,
+                     compute_gap(min(best), best_known), sum(generations),
+                     round(sum(times), 3), [round(t, 3) for t in times])
         )
     return rows
 
 
 REPORT_HEADER = ["instance", "seeds", "best_found", "best_known", "gap", "generations", "total_time_s"]
+# value type of each REPORT_HEADER column, which is also BenchRow's field order
+_REPORT_TYPES = (str, int, int, int, float, int, float)
 
 
 def emit_report(rows: list[BenchRow], format: str = "csv") -> str:
@@ -158,50 +149,56 @@ def emit_report(rows: list[BenchRow], format: str = "csv") -> str:
         return out.getvalue()
     if format == "json":
         payload = [
-            {
-                "instance": r.instance_name,
-                "seeds": r.seeds_run,
-                "best_found": r.best_found,
-                "best_known": r.best_known,
-                "gap": round(r.gap, 6),
-                "generations": r.generations,
-                "total_time_s": round(r.total_time_s, 3),
-                "per_seed_time_s": [round(t, 3) for t in r.per_seed_time_s],
-            }
+            dict(zip(REPORT_HEADER, [r.instance_name, r.seeds_run, r.best_found, r.best_known,
+                                     round(r.gap, 6), r.generations, round(r.total_time_s, 3)]),
+                 per_seed_time_s=[round(t, 3) for t in r.per_seed_time_s])
             for r in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 
+def _is_json(kind: type, value) -> bool:
+    """Whether a JSON value holds a report column of type kind (ints count as floats)."""
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
 def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
-    """Inverse of emit_report (per-seed times survive only in JSON)."""
+    """Inverse of emit_report (per-seed times survive only in JSON); malformed
+    input raises BenchError naming the CSV line or the JSON record."""
     rows = []
     if format == "csv":
         reader = csv.reader(io.StringIO(text))
         header = next(reader, None)
         if header != REPORT_HEADER:
             raise BenchError(f"unexpected report header: {header}")
-        for row in reader:
-            if not row:
-                continue
+        for row in filter(None, reader):
+            where = f"line {reader.line_num}: bad report row {row}"
+            if len(row) != len(REPORT_HEADER):
+                raise BenchError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(row)}")
             try:
-                rows.append(
-                    BenchRow(row[0], int(row[1]), int(row[2]), int(row[3]),
-                             float(row[4]), int(row[5]), float(row[6]))
-                )
-            except (IndexError, ValueError):
-                raise BenchError(f"line {reader.line_num}: bad report row {row}") from None
+                rows.append(BenchRow(*(kind(v) for kind, v in zip(_REPORT_TYPES, row))))
+            except ValueError as e:
+                raise BenchError(f"{where}: {e}") from None
         return rows
     if format == "json":
-        for idx, d in enumerate(json.loads(text), start=1):
-            try:
-                rows.append(
-                    BenchRow(d["instance"], d["seeds"], d["best_found"], d["best_known"],
-                             d["gap"], d["generations"], d["total_time_s"],
-                             d.get("per_seed_time_s", []))
-                )
-            except (KeyError, TypeError) as e:
-                raise BenchError(f"record {idx}: missing or malformed field {e}") from None
+        try:
+            records = json.loads(text)
+        except ValueError as e:
+            raise BenchError(f"report is not valid JSON: {e}") from None
+        if not isinstance(records, list):
+            raise BenchError(f"report must be a JSON list of rows, got {type(records).__name__}")
+        for idx, d in enumerate(records, start=1):
+            if not isinstance(d, dict):
+                raise BenchError(f"record {idx}: expected a row object, got {type(d).__name__}")
+            values = [d.get(key) for key in REPORT_HEADER]
+            for key, kind, v in zip(REPORT_HEADER, _REPORT_TYPES, values):
+                if not _is_json(kind, v):
+                    raise BenchError(f"record {idx}: {key!r} is missing or not {kind.__name__}")
+            per_seed = d.get("per_seed_time_s", [])
+            if not (isinstance(per_seed, list) and all(_is_json(float, t) for t in per_seed)):
+                raise BenchError(f"record {idx}: 'per_seed_time_s' is not a list of numbers")
+            rows.append(BenchRow(*(kind(v) for kind, v in zip(_REPORT_TYPES, values)), per_seed))
         return rows
     raise ValueError(f"unknown report format {format!r}")

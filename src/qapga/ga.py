@@ -34,11 +34,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import Instance, _costs, _swap_deltas, _swap_rows
+from .instance import Instance, _checked, _costs, _swap_deltas
 
 log = logging.getLogger(__name__)
 
@@ -66,18 +67,25 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not (0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        if self.time_limit_s is not None and not self.time_limit_s >= 0:  # nan too
-            raise ValueError("time_limit_s must be None or >= 0")
-        if not (0 <= self.elitism_count < self.population_size):
-            raise ValueError("elitism_count must be in [0, population_size)")
+        for f in fields(self):  # the optional fields are the ones defaulting to None
+            value, kind = getattr(self, f.name), _CONFIG_FIELDS[f.name]
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
+                raise ValueError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
+                                 f"got {value!r}")
+        for ok, rule in (  # a nan time_limit_s fails its comparison too
+            (self.population_size >= 2, "population_size must be >= 2"),
+            (0.0 <= self.crossover_rate <= 1.0, "crossover_rate must be in [0, 1]"),
+            (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must be in [0, 1]"),
+            (self.max_generations >= 1, "max_generations must be >= 1"),
+            (self.time_limit_s is None or self.time_limit_s >= 0, "time_limit_s must be None or >= 0"),
+            (0 <= self.elitism_count < self.population_size,
+             "elitism_count must be in [0, population_size)"),
+            (self.rng_seed >= 0, "rng_seed must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(rule)
 
 
 def _scalar_type(hint) -> type:
@@ -121,11 +129,8 @@ def config_from_text(text: str) -> GaConfig:
 
 def config_to_text(cfg: GaConfig) -> str:
     """Inverse of config_from_text."""
-    lines = []
-    for key in _CONFIG_FIELDS:
-        value = getattr(cfg, key)
-        lines.append(f"{key} = {'none' if value is None else value}")
-    return "\n".join(lines) + "\n"
+    values = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
+    return "".join(f"{k} = {'none' if v is None else v}\n" for k, v in values.items())
 
 
 @dataclass
@@ -205,7 +210,7 @@ def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         log.warning("swap mutation on length-%d permutation is a no-op", n)
         return q
     a, b = _swap_positions(n, *rng.random((2, 1)))
-    _swap_rows(q[None], a, b)
+    q[a], q[b] = q[b], q[a]
     return q
 
 
@@ -295,11 +300,11 @@ def evolve_step(
     if n >= 2 and mutated.size:
         a, b = _swap_positions(n, u_a[mutated], u_b[mutated])
         copies = ~dirty[mutated]
-        child_costs[mutated[copies]] += _swap_deltas(
-            inst, children[mutated[copies]], a[copies], b[copies]
-        )
-        evals += int(copies.sum())
-        _swap_rows(children, a, b, mutated)
+        copied = mutated[copies]
+        deltas = _swap_deltas(inst, children[copied], a[copies], b[copies])
+        child_costs[copied] = _checked(child_costs[copied] + deltas)
+        evals += copied.size
+        children[mutated, a], children[mutated, b] = children[mutated, b], children[mutated, a]
 
     child_costs[dirty] = _costs(inst, children[dirty])
     evals += int(dirty.sum())

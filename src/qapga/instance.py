@@ -6,8 +6,10 @@ of p is the full double sum over ordered facility pairs, diagonal included:
 
     cost(p) = sum_{i,k} flow[i][k] * dist[p[i]][p[k]]
 
-Matrices are held as int64.  All arithmetic is integer; results that do not
-fit a signed 64-bit range raise CostOverflowError instead of wrapping.
+Matrices are held as int64.  Each kernel is one numpy expression over an
+exact dtype: int64 within the instance's int64 budget, Python integers
+beyond it.  Costs that do not fit a signed 64-bit range raise
+CostOverflowError instead of wrapping.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class Instance:
 
     The matrices are stored as read-only int64.  fits_int64 is true when the
     worst-case cost n^2 * max(flow) * max(dist) fits in int64, so that every
-    cost and swap delta can be computed in int64 without overflow.
+    cost and swap delta can be computed in int64 without overflow; otherwise
+    the same kernels run in Python integers (see _exact).
     """
 
     name: str
@@ -164,30 +167,35 @@ def render_qaplib(inst: Instance) -> str:
     return f"{inst.n}\n\n{rows(inst.flow)}\n\n{rows(inst.dist)}\n"
 
 
+def _exact(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """flow and dist in a dtype whose arithmetic is exact for this instance:
+    the int64 matrices within the int64 budget, else Python integers."""
+    if inst.fits_int64:
+        return inst.flow, inst.dist
+    return inst.flow.astype(object), inst.dist.astype(object)
+
+
+def _checked(costs: np.ndarray) -> np.ndarray:
+    """Exact costs as int64; a cost beyond int64 raises CostOverflowError (int64
+    input comes from within the int64 budget and is returned as is)."""
+    if costs.dtype == object and (top := max(costs, default=0)) > INT64_MAX:
+        raise CostOverflowError(f"cost {top} exceeds signed 64-bit range")
+    return costs.astype(np.int64, copy=False)
+
+
 def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
 
-    Within the instance's int64 budget this is a gather-and-einsum over
-    chunks of at most _CHUNK_CELLS cells; otherwise each row is summed in
-    Python integers and a cost beyond int64 raises CostOverflowError.
+    One gather-and-einsum over chunks of at most _CHUNK_CELLS cells, in the
+    exact dtype of _exact; a cost beyond int64 raises CostOverflowError.
     """
-    out = np.empty(len(perms), dtype=np.int64)
-    if inst.fits_int64:
-        rows = max(1, _CHUNK_CELLS // (inst.n * inst.n))
-        for s in range(0, len(perms), rows):
-            q = perms[s : s + rows]
-            out[s : s + rows] = np.einsum(
-                "ij,pij->p", inst.flow, inst.dist[q[:, :, None], q[:, None, :]]
-            )
-        return out
-    fl = inst.flow.tolist()
-    di = inst.dist.tolist()
-    for r, p in enumerate(perms.tolist()):
-        total = sum(f * di[i][k] for row_f, i in zip(fl, p) for f, k in zip(row_f, p))
-        if total > INT64_MAX:
-            raise CostOverflowError(f"cost {total} exceeds signed 64-bit range")
-        out[r] = total
-    return out
+    flow, dist = _exact(inst)
+    out = np.empty(len(perms), dtype=flow.dtype)
+    rows = max(1, _CHUNK_CELLS // (inst.n * inst.n))
+    for s in range(0, len(perms), rows):
+        q = perms[s : s + rows]
+        out[s : s + rows] = np.einsum("ij,pij->p", flow, dist[q[:, :, None], q[:, None, :]])
+    return _checked(out)
 
 
 def evaluate_cost(inst: Instance, p: np.ndarray) -> int:
@@ -204,14 +212,10 @@ def _swap_deltas(
     O(n) per row, no symmetry assumed: only terms touching facility a or b
     change.  The j-sums cover all facilities and the two cells at j in
     {a, b} are taken back out; the four cells within {a, b} (diagonals
-    included) are added explicitly.  Outside the int64 budget the deltas are
-    differences of exact full evaluations.
+    included) are added explicitly.  The deltas come in the exact dtype of
+    _exact, unchecked: callers pass current + delta through _checked.
     """
-    if not inst.fits_int64:
-        swapped = perms.copy()
-        _swap_rows(swapped, a, b)
-        return _costs(inst, swapped) - _costs(inst, perms)
-    flow, dist = inst.flow, inst.dist
+    flow, dist = _exact(inst)
     rows = np.arange(len(perms))
     u = perms[rows, a][:, None]
     v = perms[rows, b][:, None]
@@ -228,13 +232,6 @@ def _swap_deltas(
     )
 
 
-def _swap_rows(perms: np.ndarray, a, b, rows=None) -> None:
-    """Exchange perms[r, a] and perms[r, b] in place, pairing the r-th entry of
-    rows (default: every row) with the r-th entries of a and b."""
-    rows = np.arange(len(perms)) if rows is None else rows
-    perms[rows, a], perms[rows, b] = perms[rows, b], perms[rows, a]
-
-
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
     """Cost after exchanging p[i] and p[k], in O(n) given the current cost."""
     p = check_permutation(p, inst.n)
@@ -242,4 +239,5 @@ def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> i
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
-    return current + int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])
+    delta = int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])
+    return int(_checked(np.array([int(current) + delta], dtype=object))[0])

@@ -189,3 +189,29 @@ class TestReports:
         del records[1]["best_known"]
         with pytest.raises(BenchError, match="record 2: .*'best_known'"):
             parse_report(json.dumps(records), "json")
+
+    def test_malformed_reports_name_the_line_or_record(self):
+        csv_lines = emit_report(self.rows(), "csv").splitlines()
+        with pytest.raises(BenchError, match=r"line 2: bad report row .*'junk'\]: expected 7"):
+            parse_report("\n".join([csv_lines[0], csv_lines[1] + ",junk"]), "csv")
+        with pytest.raises(BenchError, match="not valid JSON"):
+            parse_report("[{", "json")
+        for top in ('{"instance": "nug12"}', "3", "null"):
+            with pytest.raises(BenchError, match="JSON list of rows"):
+                parse_report(top, "json")
+        records = json.loads(emit_report(self.rows(), "json"))
+        with pytest.raises(BenchError, match="record 2: expected a row object"):
+            parse_report(json.dumps([records[0], "nug12"]), "json")
+        for key, value in [("seeds", "ten"), ("best_found", 578.5), ("seeds", True),
+                           ("instance", 12), ("gap", "0"), ("per_seed_time_s", [1, "x"]),
+                           ("per_seed_time_s", 1.0)]:
+            records = json.loads(emit_report(self.rows(), "json"))
+            records[1][key] = value
+            with pytest.raises(BenchError, match=f"record 2: .*'{key}'"):
+                parse_report(json.dumps(records), "json")
+
+    def test_json_numbers_keep_column_types(self):
+        records = json.loads(emit_report(self.rows(), "json"))
+        records[0]["gap"] = 0
+        row = parse_report(json.dumps(records), "json")[0]
+        assert type(row.seeds_run) is int and type(row.gap) is float

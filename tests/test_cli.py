@@ -70,6 +70,11 @@ class TestSolve:
         assert status == 2
         assert "time_limit_s" in err
 
+    def test_negative_seed_exits_2(self, tiny1_path):
+        status, _, err = invoke(["solve", str(tiny1_path), "--seed", "-1"])
+        assert status == 2
+        assert "rng_seed" in err and "Traceback" not in err
+
     def test_unknown_flag_exits_1(self, tiny1_path):
         status, _, err = invoke(["solve", str(tiny1_path), "--frobnicate"])
         assert status == 1
@@ -194,6 +199,13 @@ class TestConfigFlag:
         status, _, err = invoke(["solve", str(tiny1_path), "--config", str(cfg)])
         assert status == 2
         assert "unknown config key" in err
+
+    def test_none_for_a_required_field_exits_2(self, tmp_path, tiny1_path):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("population_size = none\n")
+        status, _, err = invoke(["solve", str(tiny1_path), "--config", str(cfg)])
+        assert status == 2
+        assert "population_size must be an integer" in err and "Traceback" not in err
 
     def test_oracle_has_no_config_flag(self, tmp_path, tiny1_path):
         cfg = tmp_path / "bad.conf"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qapga import (
     Chromosome,
+    CostOverflowError,
     GaConfig,
     evaluate_cost,
     init_population,
@@ -275,6 +276,14 @@ class TestEvolveStep:
                 check_permutation(perm, inst.n)
                 assert cost == evaluate_cost(inst, perm)
 
+    def test_mutated_copy_past_int64_raises(self):
+        inst = overflow_on_swap()
+        perms = np.array([[0, 1], [0, 1]])
+        costs = np.full(2, 2**31 + 2**33, np.int64)
+        cfg = GaConfig(population_size=2, crossover_rate=0.0, mutation_rate=1.0)
+        with pytest.raises(CostOverflowError):
+            evolve_step(inst, perms, costs, cfg, np.random.default_rng(0))
+
     def test_rejects_wrong_population_size(self):
         rng = np.random.default_rng(34)
         inst = random_instance(4, 5, rng=rng)
@@ -305,6 +314,11 @@ class TestEvolveStep:
         assert calls["order_crossover_two_point"] == 1
 
 
+def overflow_on_swap():
+    """n=2 instance: [0, 1] costs 2**31 + 2**33, the swapped [1, 0] costs 2**64 + 1."""
+    return Instance("over", 2, np.array([[0, 2**31], [1, 0]]), np.array([[0, 1], [2**33, 0]]))
+
+
 class TestRun:
     def test_n1_trivial(self):
         inst = Instance("one", 1, np.array([[3]], np.int64), np.array([[7]], np.int64))
@@ -324,6 +338,12 @@ class TestRun:
     def test_rejects_nan_and_negative_time_limit(self, limit):
         with pytest.raises(ValueError, match="time_limit_s"):
             GaConfig(time_limit_s=limit)
+
+    def test_swap_past_int64_raises(self):
+        # seed 0 draws [0, 1] twice, so the overflow comes from a mutated copy
+        cfg = GaConfig(population_size=2, crossover_rate=0.0, mutation_rate=1.0, rng_seed=0)
+        with pytest.raises(CostOverflowError):
+            run(overflow_on_swap(), cfg)
 
     def test_history_non_increasing_best_tracked(self):
         rng = np.random.default_rng(42)
@@ -355,6 +375,34 @@ class TestRun:
         inst = random_instance(7, 20, rng=rng)
         res = run(inst, GaConfig(max_generations=5000, target_cost=10**9, rng_seed=0))
         assert res.generations_run == 0
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("name, value", [
+        ("population_size", 3.5), ("population_size", 4.0), ("population_size", None),
+        ("max_generations", 2.5), ("elitism_count", True), ("target_cost", 578.0),
+        ("rng_seed", "7"), ("rng_seed", None),
+    ])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GaConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("crossover_rate", None), ("mutation_rate", True), ("time_limit_s", "1"),
+    ])
+    def test_float_fields_reject_non_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            GaConfig(**{name: value})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        cfg = GaConfig(population_size=np.int64(4), max_generations=np.int32(2),
+                       rng_seed=np.uint32(7))
+        assert run(random_instance(4, 9, rng=np.random.default_rng(0)), cfg).generations_run == 2
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            GaConfig(rng_seed=-1)
+        assert GaConfig(rng_seed=0).rng_seed == 0
 
 
 class TestConfigText:

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qapga import (
@@ -251,6 +251,50 @@ class TestSwapDelta:
             for p, (i, k), d in zip(perms, ab, deltas):
                 c = evaluate_cost(inst, p)
                 assert swap_delta(inst, p, c, int(i), int(k)) == c + int(d)
+
+    def test_swap_past_int64_raises(self):
+        # cost 2**31 + 2**33 before the swap, 2**64 + 1 after it
+        inst = Instance("over", 2, np.array([[0, 2**31], [1, 0]]),
+                        np.array([[0, 1], [2**33, 0]]))
+        assert not inst.fits_int64
+        current = evaluate_cost(inst, np.array([0, 1]))
+        assert current == 2**31 + 2**33
+        with pytest.raises(CostOverflowError):
+            evaluate_cost(inst, np.array([1, 0]))
+        with pytest.raises(CostOverflowError):
+            swap_delta(inst, np.array([0, 1]), current, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_or_overflow_beyond_int64_budget(self, data):
+        # against a Python big-int sum of the swapped permutation, on instances
+        # whose worst-case cost does not fit int64
+        n = data.draw(st.integers(2, 6))
+        entries = st.one_of(st.integers(0, 2**8), st.integers(0, 2**40))
+        flow, dist = (
+            np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)),
+                     np.int64).reshape(n, n)
+            for _ in range(2)
+        )
+        inst = Instance("big", n, flow, dist)
+        assume(not inst.fits_int64)
+
+        def big_int_cost(p):
+            return sum(int(flow[i, k]) * int(dist[p[i], p[k]])
+                       for i in range(n) for k in range(n))
+
+        p = np.array(data.draw(st.permutations(range(n))))
+        current = big_int_cost(p)
+        assume(current <= 2**63 - 1)
+        i, k = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        q = p.copy()
+        q[i], q[k] = q[k], q[i]
+        ref = big_int_cost(q)
+        if ref > 2**63 - 1:
+            with pytest.raises(CostOverflowError):
+                swap_delta(inst, p, current, i, k)
+        else:
+            assert swap_delta(inst, p, current, i, k) == ref
 
     def test_rejects_equal_indices(self, tiny3):
         with pytest.raises(ValueError, match="distinct"):
