@@ -12,10 +12,9 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .ga import GaConfig, run
-from .instance import Instance, QapError
+from .instance import Instance, QapError, read_number
 
 
 class BenchError(QapError):
@@ -60,7 +59,7 @@ def load_baselines(text: str) -> list[BaselineRecord]:
             raise BenchError(f"line {lineno}: expected 3 fields, got {len(row)}")
         name, value, source = (f.strip() for f in row)
         try:
-            best_known = int(value)
+            best_known = read_number(int, value)
         except ValueError:
             raise BenchError(f"line {lineno}: best_known {value!r} is not an integer") from None
         if best_known <= 0:
@@ -74,10 +73,10 @@ def load_baselines(text: str) -> list[BaselineRecord]:
 
 
 def compute_gap(best_found: int, best_known: int) -> float:
-    """(best_found - best_known) / best_known, exact rational rounded to 6 dp."""
+    """(best_found - best_known) / best_known, rounded to 6 dp."""
     if best_known <= 0:
         raise BenchError(f"best_known must be positive, got {best_known}")
-    return round(float(Fraction(best_found - best_known, best_known)), 6)
+    return round((best_found - best_known) / best_known, 6)
 
 
 def _run_one(args):
@@ -178,7 +177,7 @@ def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
             if len(row) != len(REPORT_HEADER):
                 raise BenchError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(row)}")
             try:
-                rows.append(BenchRow(*(kind(v) for kind, v in zip(_REPORT_TYPES, row))))
+                rows.append(BenchRow(*map(read_number, _REPORT_TYPES, row)))
             except ValueError as e:
                 raise BenchError(f"{where}: {e}") from None
         return rows

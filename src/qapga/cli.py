@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import bench as bench_mod
 from .ga import _CONFIG_FIELDS, GaConfig, config_from_text, run
-from .instance import QapError, parse_qaplib
-from .oracle import DEFAULT_LIMIT, OracleLimitError, exhaustive_optimum
+from .instance import QapError, parse_qaplib, read_number
+from .oracle import DEFAULT_LIMIT, exhaustive_optimum
 
 
 class _UsageError(Exception):
@@ -27,28 +28,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-# GaConfig field -> (flag, help); each flag's argparse dest is its field name
-_GA_FLAGS = {
-    "population_size": ("--pop", "population size"),
-    "crossover_rate": ("--cx-rate", "crossover probability"),
-    "mutation_rate": ("--mut-rate", "per-chromosome mutation probability"),
-    "max_generations": ("--generations", "maximum number of generations"),
-    "target_cost": ("--target", "stop once the best cost reaches this value"),
-    "time_limit_s": ("--time-limit-s", "wall-clock budget per run in seconds"),
-    "elitism_count": ("--elitism", "number of elite survivors per generation"),
-    "rng_seed": ("--seed", "random seed of the run"),
-}
+def _reader(kind: type):
+    read = partial(read_number, kind)
+    read.__name__ = kind.__name__  # so argparse still says "invalid int value: 'x'"
+    return read
 
 
 def _add_ga_flags(p: argparse.ArgumentParser, skip=()):
     p.add_argument("--config", type=Path, default=None,
                    help="flat key = value config file; explicit flags override it")
-    for name, kind in _CONFIG_FIELDS.items():
-        if name not in skip:
-            flag, text = _GA_FLAGS[name]
+    for f in fields(GaConfig):
+        if f.name not in skip:
             # absent unless given, so _config_from can tell explicit flags apart
-            p.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS,
-                           help=text)
+            p.add_argument(f.metadata["flag"], dest=f.name, type=_reader(_CONFIG_FIELDS[f.name]),
+                           default=argparse.SUPPRESS, help=f.metadata["help"])
 
 
 def _build_parser() -> _Parser:
@@ -70,23 +63,22 @@ def _build_parser() -> _Parser:
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--out", type=Path, default=None,
                        help="write the report here instead of stdout")
-    bench.add_argument("--jobs", type=int, default=1,
+    bench.add_argument("--jobs", type=_reader(int), default=1,
                        help="parallel (instance, seed) runs")
 
     oracle = sub.add_parser("oracle", help="exhaustive optimum for small n")
     oracle.add_argument("instance", type=Path)
-    oracle.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    oracle.add_argument("--limit", type=_reader(int), default=DEFAULT_LIMIT)
 
     return parser
 
 
 def _parse_seeds(text: str) -> list[int]:
-    text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
+        seeds = list(range(read_number(int, lo.strip()), read_number(int, hi.strip()) + 1))
     else:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        seeds = [read_number(int, s.strip()) for s in text.split(",") if s.strip()]
     if not seeds:
         raise ValueError("empty seed list")
     return seeds
@@ -135,6 +127,8 @@ def _cmd_bench(args, out) -> int:
         seeds = _parse_seeds(args.seeds)
     except ValueError as e:
         raise _UsageError(f"bad --seeds value {args.seeds!r}: {e}") from None
+    if args.jobs < 1:
+        raise _UsageError(f"bad --jobs value {args.jobs}: must be >= 1")
     cfg = _config_from(args)
     try:
         baseline_text = args.baselines.read_text()
@@ -149,7 +143,10 @@ def _cmd_bench(args, out) -> int:
                                jobs=args.jobs)
     report = bench_mod.emit_report(rows, args.format)
     if args.out is not None:
-        args.out.write_text(report)
+        try:
+            args.out.write_text(report)
+        except OSError as e:
+            raise QapError(f"cannot write {args.out}: {e}") from None
     else:
         out.write(report)
     return 0
@@ -183,7 +180,7 @@ def main(argv=None, out=None, err=None) -> int:
     except _UsageError as e:
         print(e, file=err)
         return 1
-    except (QapError, OracleLimitError, ValueError) as e:
+    except (QapError, ValueError) as e:
         print(f"error: {e}", file=err)
         return 2
 

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import Instance, _checked, _costs, _swap_deltas
+from .instance import Instance, _checked, _costs, _swap_deltas, read_number
 
 log = logging.getLogger(__name__)
 
@@ -55,16 +55,22 @@ class Chromosome:
         self.perm.setflags(write=False)
 
 
+def _flag(default, flag: str, text: str):
+    return field(default=default, metadata={"flag": flag, "help": text})
+
+
 @dataclass(frozen=True)
 class GaConfig:
-    population_size: int = 100
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.2
-    max_generations: int = 10000
-    target_cost: int | None = None
-    time_limit_s: float | None = None
-    elitism_count: int = 1
-    rng_seed: int = 0
+    """Settings of one GA run; each field's `flag`/`help` metadata is the CLI flag table."""
+
+    population_size: int = _flag(100, "--pop", "population size")
+    crossover_rate: float = _flag(0.8, "--cx-rate", "crossover probability")
+    mutation_rate: float = _flag(0.2, "--mut-rate", "per-chromosome mutation probability")
+    max_generations: int = _flag(10000, "--generations", "maximum number of generations")
+    target_cost: int | None = _flag(None, "--target", "stop once the best cost reaches this value")
+    time_limit_s: float | None = _flag(None, "--time-limit-s", "wall-clock budget per run in seconds")
+    elitism_count: int = _flag(1, "--elitism", "number of elite survivors per generation")
+    rng_seed: int = _flag(0, "--seed", "random seed of the run")
 
     def __post_init__(self):
         for f in fields(self):  # the optional fields are the ones defaulting to None
@@ -119,7 +125,7 @@ def config_from_text(text: str) -> GaConfig:
             values[key] = None
             continue
         try:
-            values[key] = _CONFIG_FIELDS[key](value)
+            values[key] = read_number(_CONFIG_FIELDS[key], value)
         except ValueError:
             raise ValueError(
                 f"line {lineno}: bad value {value!r} for {key}"

@@ -115,22 +115,31 @@ def _locate(data: bytes, k: int) -> tuple[str, str]:
     return m.group().decode(errors="replace"), f"{line}:{col}"
 
 
+def read_number(kind: type, text: str):
+    """text as a kind value: an int is ASCII -?[0-9]+, a float is what float() takes minus
+    underscores, surrounding whitespace and non-ASCII characters; a str passes; else ValueError."""
+    if kind is int and not re.fullmatch("-?[0-9]+", text) or kind is float and (
+            not text.isascii() or "_" in text or text != text.strip()):
+        raise ValueError(f"invalid {kind.__name__} value: {text!r}")
+    return kind(text)
+
+
 def parse_qaplib(text: str | bytes, name: str = "") -> Instance:
     """Parse a QAPLIB .dat stream: n, then two n x n matrices row-major.
 
-    Every token is a run of ASCII digits [0-9]+, and tokens may be separated
-    by any ASCII whitespace, including blank lines.  Raises ParseError on
-    malformed input, naming the first bad token and its line:column.
+    Tokens are ASCII digit runs [0-9]+ (read_number's int grammar, unsigned)
+    separated by any ASCII whitespace, including blank lines.  Raises ParseError
+    on malformed input, naming the first bad token and its line:column.
     """
     data = text.encode() if isinstance(text, str) else text
     tokens = data.split()
     if not tokens:
         raise ParseError("unexpected end of input: expected instance size n")
-    head = tokens[0]
-    if not (head.isdigit() or head[:1] == b"-" and head[1:].isdigit()):
+    try:
+        n = read_number(int, tokens[0].decode(errors="replace"))
+    except ValueError:
         tok, pos = _locate(data, 0)
-        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n")
-    n = int(head)
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n") from None
     if n < 1:
         raise ParseError(f"instance size must be positive, got {n} at {_locate(data, 0)[1]}")
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,3 +216,28 @@ class TestReports:
         records[0]["gap"] = 0
         row = parse_report(json.dumps(records), "json")[0]
         assert type(row.seeds_run) is int and type(row.gap) is float
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("value", ["+5_78", "5_78", "٥٧٨", "578.0"])
+    def test_baselines_reject_malformed_integers(self, value):
+        with pytest.raises(BenchError, match=f"line 3: best_known {re.escape(repr(value))} is not an integer"):
+            load_baselines(f"name,best_known,source\nnug12,578,a\nchr12a,{value},b\n")
+
+    def test_baselines_fields_are_stripped_first(self):
+        (record,) = load_baselines("name,best_known,source\n nug12 , 578 , QAPLIB\n")
+        assert (record.instance_name, record.best_known, record.source) == ("nug12", 578, "QAPLIB")
+
+    @pytest.mark.parametrize("lineno, col, bad", [
+        (2, 1, "1_0"), (2, 2, " 578"), (2, 3, "٥٧٨"), (3, 5, "+2000"),
+        (3, 4, "0.005_025"), (3, 6, "12.125 "),
+    ])
+    def test_report_csv_rejects_malformed_cells(self, lineno, col, bad):
+        rows = [BenchRow("nug12", 10, 578, 578, 0.0, 1234, 5.5),
+                BenchRow("chr12a", 10, 9600, 9552, 0.005025, 2000, 12.125)]
+        lines = emit_report(rows, "csv").splitlines()
+        cells = lines[lineno - 1].split(",")
+        cells[col] = bad
+        lines[lineno - 1] = ",".join(cells)
+        with pytest.raises(BenchError, match=f"line {lineno}: bad report row"):
+            parse_report("\n".join(lines) + "\n", "csv")

@@ -213,3 +213,86 @@ class TestConfigFlag:
         status, _, err = invoke(["oracle", str(tiny1_path), "--config", str(cfg)])
         assert status == 1
         assert "usage" in err
+
+
+@pytest.fixture
+def mini_suite(tmp_path):
+    """bench arguments for a one-instance suite that runs in milliseconds"""
+    inst_dir = tmp_path / "qaplib"
+    inst_dir.mkdir()
+    (inst_dir / "mini.dat").write_text(TINY1)
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("name,best_known,source\nmini,21,exact\n")
+    return ["bench", "--dir", str(inst_dir), "--baselines", str(baselines),
+            "--pop", "2", "--generations", "2"]
+
+
+class TestNumberGrammar:
+    def test_ga_flag_rejects_underscores(self, tiny1_path):
+        status, _, err = invoke(["solve", str(tiny1_path), "--pop", "1_0"])
+        assert status == 1
+        assert "argument --pop: invalid int value: '1_0'" in err
+
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--seed", "٣", "int"), ("--generations", "+5", "int"), ("--target", " 21", "int"),
+        ("--cx-rate", "0_0.5", "float"), ("--time-limit-s", "1_0.5", "float"),
+    ])
+    def test_ga_flags_keep_the_type_in_the_message(self, tiny1_path, flag, value, kind):
+        status, _, err = invoke(["solve", str(tiny1_path), flag, value])
+        assert status == 1
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in err
+
+    def test_bench_seeds_reject_underscores(self, mini_suite):
+        status, _, err = invoke(mini_suite + ["--seeds", "1_0..1_2"])
+        assert status == 1
+        assert "bad --seeds value '1_0..1_2'" in err
+        status, _, err = invoke(mini_suite + ["--seeds", "1,+2"])
+        assert status == 1
+
+    def test_bench_seeds_allow_spaces_around_items(self, mini_suite):
+        status, out, _ = invoke(mini_suite + ["--seeds", " 1 , 2 "])
+        assert status == 0
+        assert out.splitlines()[1].startswith("mini,2,21,21,")
+
+    def test_jobs_and_limit_reject_underscores(self, tmp_path, tiny1_path):
+        status, _, err = invoke(["bench", "--dir", str(tmp_path), "--baselines",
+                                 str(tmp_path / "missing.csv"), "--jobs", "1_0"])
+        assert status == 1
+        assert "argument --jobs: invalid int value: '1_0'" in err
+        status, _, err = invoke(["oracle", str(tiny1_path), "--limit", "1_0"])
+        assert status == 1
+        assert "argument --limit: invalid int value: '1_0'" in err
+
+
+class TestBenchOutcomes:
+    def test_out_into_missing_directory_exits_2(self, tmp_path, mini_suite):
+        target = tmp_path / "missing" / "x.csv"
+        status, out, err = invoke(mini_suite + ["--seeds", "1", "--out", str(target)])
+        assert status == 2
+        assert f"cannot write {target}" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, mini_suite, jobs):
+        status, out, err = invoke(mini_suite + ["--seeds", "1", "--jobs", jobs])
+        assert status == 1
+        assert f"bad --jobs value {jobs}" in err
+        assert out == ""
+
+
+def test_ga_config_fields_are_the_flag_table(capsys):
+    from dataclasses import fields
+
+    from qapga import GaConfig
+
+    def help_text(subcommand):
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        return capsys.readouterr().out
+
+    solve_help, bench_help = help_text("solve"), help_text("bench")
+    for f in fields(GaConfig):
+        assert f.metadata["flag"].startswith("--") and f.metadata["help"]
+        usage = f"{f.metadata['flag']} {f.name.upper()}"
+        assert usage in solve_help
+        assert (usage in bench_help) == (f.name != "rng_seed")

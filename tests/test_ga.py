@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -434,3 +436,12 @@ class TestConfigText:
         from qapga import config_from_text
         with pytest.raises(ValueError, match="bad value"):
             config_from_text("population_size = many\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("population_size", "1_0"), ("rng_seed", "٣"), ("max_generations", "+5"),
+        ("crossover_rate", "1_0.5"), ("crossover_rate", "0_0.5"), ("time_limit_s", "١.5"),
+    ])
+    def test_malformed_numbers_name_the_line(self, key, value):
+        from qapga import config_from_text
+        with pytest.raises(ValueError, match=f"line 2: bad value {re.escape(repr(value))} for {key}"):
+            config_from_text(f"# header\n{key} = {value}\n")

@@ -14,6 +14,7 @@ from qapga import (
     render_qaplib,
     swap_delta,
 )
+from qapga.instance import read_number
 from qapga.oracle import random_instance
 
 
@@ -350,3 +351,28 @@ class TestInstanceInvariants:
     def test_matrices_are_frozen(self, tiny3):
         with pytest.raises(ValueError):
             tiny3.flow[0, 0] = 5
+
+
+class TestReadNumber:
+    @pytest.mark.parametrize("kind, text, value", [
+        (int, "0", 0), (int, "-3", -3), (int, "007", 7), (int, str(2**70), 2**70),
+        (float, "0.5", 0.5), (float, "1", 1.0), (float, "-2.5e-3", -0.0025),
+        (float, "+1.5", 1.5), (str, " nug12 ", " nug12 "),
+    ])
+    def test_accepts(self, kind, text, value):
+        got = read_number(kind, text)
+        assert got == value and type(got) is kind
+
+    def test_float_keeps_nan_and_inf(self):
+        assert np.isnan(read_number(float, "nan"))
+        assert read_number(float, "inf") == float("inf")
+
+    @pytest.mark.parametrize("kind, text", [
+        (int, "1_0"), (int, "+5"), (int, "٣"), (int, " 578"), (int, "578 "),
+        (int, "0x1"), (int, "1e3"), (int, "1.0"), (int, ""), (int, "-"), (int, "5\n"),
+        (float, "1_0.5"), (float, "0_0.5"), (float, " 0.5"), (float, "0.5\t"),
+        (float, "١.٥"), (float, ""), (float, "one"),
+    ])
+    def test_rejects(self, kind, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            read_number(kind, text)
