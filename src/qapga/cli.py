@@ -8,6 +8,7 @@ files, oracle size refusal).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -122,6 +123,14 @@ def _cmd_solve(args, out) -> int:
     return 0
 
 
+def _writable(path: Path) -> bool:
+    """Whether a report can be written to path; checked before the suite runs,
+    without opening path, so an existing report is left as it is."""
+    if path.exists():
+        return not path.is_dir() and os.access(path, os.W_OK)
+    return path.parent.is_dir() and os.access(path.parent, os.W_OK)
+
+
 def _cmd_bench(args, out) -> int:
     try:
         seeds = _parse_seeds(args.seeds)
@@ -129,6 +138,8 @@ def _cmd_bench(args, out) -> int:
         raise _UsageError(f"bad --seeds value {args.seeds!r}: {e}") from None
     if args.jobs < 1:
         raise _UsageError(f"bad --jobs value {args.jobs}: must be >= 1")
+    if args.out is not None and not _writable(args.out):
+        raise QapError(f"cannot write {args.out}: not a writable file in an existing directory")
     cfg = _config_from(args)
     try:
         baseline_text = args.baselines.read_text()

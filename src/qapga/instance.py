@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INT64_MAX = 2**63 - 1
-# most gathered cost cells per einsum in the int64 path; bounds peak memory
-_CHUNK_CELLS = 1 << 16
+# most gathered cost cells per einsum in _costs; bounds peak memory.  1 << 14
+# keeps each int64 temporary within 128 KB: at 1 << 16 (512 KB) the gather ran
+# at half speed at n=30 and was faster only at n=150 (BENCH_7.json)
+_CHUNK_CELLS = 1 << 14
 
 
 class QapError(Exception):
@@ -195,15 +197,26 @@ def _checked(costs: np.ndarray) -> np.ndarray:
 def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
 
-    One gather-and-einsum over chunks of at most _CHUNK_CELLS cells, in the
-    exact dtype of _exact; a cost beyond int64 raises CostOverflowError.
+    Cell (i, k) of row q is dist.ravel()[q[i] * n + q[k]], weighted by
+    flow.ravel()[i * n + k].  The gather runs over chunks of at most
+    _CHUNK_CELLS cells: whole rows of perms, or blocks of facility rows of one
+    permutation when n * n exceeds it.  Arithmetic is in the exact dtype of
+    _exact; a cost beyond int64 raises CostOverflowError.
     """
     flow, dist = _exact(inst)
+    n = inst.n
+    flat_dist = dist.ravel()
+    step = max(1, _CHUNK_CELLS // n)  # facility rows per block: all n unless n * n > _CHUNK_CELLS
+    blocks = [(f, flow[f : f + step].ravel()) for f in range(0, n, step)]
     out = np.empty(len(perms), dtype=flow.dtype)
-    rows = max(1, _CHUNK_CELLS // (inst.n * inst.n))
+    rows = max(1, _CHUNK_CELLS // (n * n))
     for s in range(0, len(perms), rows):
         q = perms[s : s + rows]
-        out[s : s + rows] = np.einsum("ij,pij->p", flow, dist[q[:, :, None], q[:, None, :]])
+        total = 0
+        for f, weights in blocks:
+            cells = (q[:, f : f + step, None] * n + q[:, None, :]).reshape(len(q), -1)
+            total = total + np.einsum("pk,k->p", flat_dist[cells], weights)
+        out[s : s + rows] = total
     return _checked(out)
 
 

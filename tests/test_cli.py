@@ -1,4 +1,5 @@
 import io
+import os
 import re
 
 import pytest
@@ -271,6 +272,43 @@ class TestBenchOutcomes:
         assert status == 2
         assert f"cannot write {target}" in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.fixture
+    def no_suite(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_suite was called")
+        monkeypatch.setattr("qapga.bench.run_suite", fail)
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "file/x.csv", "."])
+    def test_out_is_checked_before_the_suite_runs(self, tmp_path, mini_suite, no_suite, where):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / where  # in a missing directory, in a file, a directory
+        status, out, err = invoke(mini_suite + ["--seeds", "1", "--out", str(target)])
+        assert status == 2
+        assert f"cannot write {target}" in err and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs file permissions that bind the user")
+    def test_read_only_report_is_kept(self, tmp_path, mini_suite, no_suite):
+        target = tmp_path / "report.csv"
+        target.write_text("old report\n")
+        target.chmod(0o444)
+        status, _, err = invoke(mini_suite + ["--seeds", "1", "--out", str(target)])
+        assert status == 2 and f"cannot write {target}" in err
+        assert target.read_text() == "old report\n"
+
+    def test_existing_report_survives_a_failed_suite(self, tmp_path, mini_suite, monkeypatch):
+        from qapga import QapError
+
+        def fail(*args, **kwargs):
+            raise QapError("suite failed")
+        monkeypatch.setattr("qapga.bench.run_suite", fail)
+        target = tmp_path / "report.csv"
+        target.write_text("old report\n")
+        status, _, err = invoke(mini_suite + ["--seeds", "1", "--out", str(target)])
+        assert status == 2 and "suite failed" in err
+        assert target.read_text() == "old report\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, mini_suite, jobs):

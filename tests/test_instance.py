@@ -14,7 +14,7 @@ from qapga import (
     render_qaplib,
     swap_delta,
 )
-from qapga.instance import read_number
+from qapga.instance import _CHUNK_CELLS, _costs, read_number
 from qapga.oracle import random_instance
 
 
@@ -200,6 +200,60 @@ class TestEvaluateCost:
                 evaluate_cost(inst, p)
         else:
             assert evaluate_cost(inst, p) == ref
+
+
+def double_sum_cost(flow, dist, p):
+    """Independent reference: the cost as a plain Python double sum."""
+    n = len(p)
+    return sum(flow[i][k] * dist[p[i]][p[k]] for i in range(n) for k in range(n))
+
+
+class TestCostChunks:
+    """_costs where its chunks of whole permutations and of facility rows end."""
+
+    @staticmethod
+    def boundary_perms(n, rng):
+        rows = max(1, _CHUNK_CELLS // (n * n))
+        for m in sorted({rows - 1, rows, rows + 1, 2 * rows + 1}):
+            yield rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 12, 100, 129, 200])
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_exact_at_chunk_boundaries(self, n, fits):
+        rng = np.random.default_rng(n)
+        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
+        if not fits:  # worst case beyond int64; only n=1 has a cost beyond it too
+            flow[0, 0] = 2**40
+            dist[0, -1] = 2**30
+        inst = Instance("chunks", n, flow, dist)
+        assert inst.fits_int64 is fits
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        for perms in self.boundary_perms(n, rng):
+            ref = [double_sum_cost(flow, dist, p) for p in perms.tolist()]
+            if max(ref, default=0) > 2**63 - 1:
+                with pytest.raises(CostOverflowError):
+                    _costs(inst, perms)
+            else:
+                got = _costs(inst, perms)
+                assert got.dtype == np.int64 and got.tolist() == ref
+
+    @pytest.mark.parametrize("n", [9, 129])
+    def test_overflow_in_a_later_chunk_raises(self, n):
+        # cost >= 2**70 exactly when p[0] = 0 and p[1] = 1; the last of
+        # rows + 1 permutations is the only such one and sits in the second chunk
+        rng = np.random.default_rng(n)
+        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
+        flow[0, 1] = 2**40
+        dist[0, 1] = 2**30
+        inst = Instance("late", n, flow, dist)
+        rows = max(1, _CHUNK_CELLS // (n * n))
+        perms = np.stack([np.roll(np.arange(n), 1)] * rows + [np.arange(n)])
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        assert _costs(inst, perms[:rows]).tolist() == [
+            double_sum_cost(flow, dist, p) for p in perms[:rows].tolist()]
+        assert double_sum_cost(flow, dist, perms[-1].tolist()) > 2**63 - 1
+        with pytest.raises(CostOverflowError):
+            _costs(inst, perms)
 
 
 class TestSwapDelta:

@@ -4,7 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from qapga import GaConfig, Instance, evaluate_cost, exhaustive_optimum, random_instance, run
+from qapga import (
+    CostOverflowError, GaConfig, Instance, evaluate_cost, exhaustive_optimum, random_instance, run,
+)
 from qapga.oracle import OracleLimitError
 
 
@@ -43,6 +45,16 @@ class TestExhaustiveOptimum:
         rng = np.random.default_rng(9)
         inst = random_instance(11, 5, rng=rng)
         with pytest.raises(OracleLimitError, match="n=11"):
+            exhaustive_optimum(inst)
+
+    def test_any_cost_beyond_int64_raises_even_when_the_optimum_fits(self):
+        # the optimum is 2**62 (facility 0 at location 0 or 2), but the
+        # permutations with p[0] = 1 cost 2**63, and every cost is checked
+        flow = np.zeros((3, 3), np.int64)
+        flow[0, 0] = 2**62
+        inst = Instance("edge", 3, flow, np.diag([1, 2, 1]))
+        assert evaluate_cost(inst, np.array([0, 1, 2])) == 2**62
+        with pytest.raises(CostOverflowError):
             exhaustive_optimum(inst)
 
     def test_custom_limit(self):
