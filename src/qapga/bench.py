@@ -80,8 +80,8 @@ def compute_gap(best_found: int, best_known: int) -> float:
 
 
 def _run_one(args):
-    inst, cfg, seed = args
-    result = run(inst, replace(cfg, rng_seed=seed))
+    inst, cfg = args
+    result = run(inst, cfg)
     return result.best.cost, result.generations_run, result.wall_time_s
 
 
@@ -96,6 +96,7 @@ def run_suite(
 
     The per-seed target cost defaults to the baseline best-known value so a
     run stops as soon as it matches it; an explicit cfg.target_cost wins.
+    Every per-seed config is built, and so validated, before the first run.
     Rows come back in input order regardless of execution order.
     """
     if not seeds:
@@ -109,7 +110,7 @@ def run_suite(
         inst_cfg = cfg if cfg.target_cost is not None else replace(
             cfg, target_cost=baseline.best_known
         )
-        tasks += [(inst, inst_cfg, seed) for seed in seeds]
+        tasks += [(inst, replace(inst_cfg, rng_seed=seed)) for seed in seeds]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INT64_MAX = 2**63 - 1
-# most gathered cost cells per einsum in _costs; bounds peak memory.  1 << 14
-# keeps each int64 temporary within 128 KB: at 1 << 16 (512 KB) the gather ran
-# at half speed at n=30 and was faster only at n=150 (BENCH_7.json)
+# most cost cells that _costs gathers at once (the output of each of its two
+# takes); bounds peak memory and sizes the oracle's batches.  1 << 14 keeps each
+# int64 temporary within 128 KB: larger chunks ran at half speed at n=30
+# (BENCH_7.json) and made the n=9 oracle slower (BENCH_8.json)
 _CHUNK_CELLS = 1 << 14
 
 
@@ -197,26 +198,40 @@ def _checked(costs: np.ndarray) -> np.ndarray:
 def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
 
-    Cell (i, k) of row q is dist.ravel()[q[i] * n + q[k]], weighted by
-    flow.ravel()[i * n + k].  The gather runs over chunks of at most
-    _CHUNK_CELLS cells: whole rows of perms, or blocks of facility rows of one
-    permutation when n * n exceeds it.  Arithmetic is in the exact dtype of
-    _exact; a cost beyond int64 raises CostOverflowError.
+    Cell (i, k) of row q is dist[q[i], q[k]], weighted by flow[i, k].  The
+    cells are read with two 1-D takes, never through an index of n * n cells,
+    at most _CHUNK_CELLS cells at a time:
+      - while two or more whole rows of perms fit, r of them at once: take the
+        columns q of dist for all r rows, so row l * r + j of by_col holds
+        dist[l, q_j]; then take row q_j[i] * r + j of by_col for each cell
+        row (j, i);
+      - otherwise one permutation p at a time, in blocks of facility rows (one
+        block while n * n fits): the rows p[block] of dist, then their
+        columns p.  At one permutation per chunk this ran faster than the
+        first form (BENCH_8.json).
+    Arithmetic is in the exact dtype of _exact; a cost beyond int64 raises
+    CostOverflowError.
     """
     flow, dist = _exact(inst)
     n = inst.n
-    flat_dist = dist.ravel()
-    step = max(1, _CHUNK_CELLS // n)  # facility rows per block: all n unless n * n > _CHUNK_CELLS
-    blocks = [(f, flow[f : f + step].ravel()) for f in range(0, n, step)]
     out = np.empty(len(perms), dtype=flow.dtype)
-    rows = max(1, _CHUNK_CELLS // (n * n))
-    for s in range(0, len(perms), rows):
-        q = perms[s : s + rows]
-        total = 0
-        for f, weights in blocks:
-            cells = (q[:, f : f + step, None] * n + q[:, None, :]).reshape(len(q), -1)
-            total = total + np.einsum("pk,k->p", flat_dist[cells], weights)
-        out[s : s + rows] = total
+    rows = _CHUNK_CELLS // (n * n)
+    if rows > 1:
+        weights = flow.ravel()
+        for s in range(0, len(perms), rows):
+            q = perms[s : s + rows]
+            r = len(q)
+            by_col = np.take(dist, q, axis=1).reshape(n * r, n)
+            cells = np.take(by_col, q * r + np.arange(r)[:, None], axis=0)
+            out[s : s + r] = np.einsum("pk,k->p", cells.reshape(r, n * n), weights)
+        return _checked(out)
+    step = _CHUNK_CELLS // n  # facility rows per block
+    blocks = [(slice(f, f + step), flow[f : f + step]) for f in range(0, n, step)]
+    for j, p in enumerate(perms):
+        out[j] = sum(
+            np.einsum("ik,ik->", np.take(np.take(dist, p[block], axis=0), p, axis=1), weights)
+            for block, weights in blocks
+        )
     return _checked(out)
 
 

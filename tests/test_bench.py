@@ -120,6 +120,32 @@ class TestRunSuite:
         with pytest.raises(BenchError, match="non-empty"):
             run_suite(instances, baselines, GaConfig(population_size=2, max_generations=2), [])
 
+    @pytest.fixture
+    def run_calls(self, monkeypatch):
+        """qapga.bench.run replaced by a recorder of the seeds it is called with"""
+        import qapga.bench
+        from qapga import run
+        calls = []
+
+        def record(inst, cfg):
+            calls.append(cfg.rng_seed)
+            return run(inst, cfg)
+        monkeypatch.setattr(qapga.bench, "run", record)
+        return calls
+
+    def test_every_seed_is_validated_before_the_first_run(self, run_calls):
+        instances, baselines = _tiny_suite()
+        cfg = GaConfig(population_size=2, max_generations=2)
+        with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+            run_suite(instances, baselines, cfg, seeds=[1, -1])
+        assert run_calls == []
+
+    def test_run_is_called_once_per_seed(self, run_calls):
+        instances, baselines = _tiny_suite()
+        cfg = GaConfig(population_size=2, max_generations=2)
+        (row,) = run_suite(instances, baselines, cfg, seeds=[3, 1, 2])
+        assert run_calls == [3, 1, 2] and row.seeds_run == 3
+
     def test_rows_deterministic_except_timing(self):
         rng = np.random.default_rng(66)
         inst = random_instance(5, 15, rng=rng, name="r5")

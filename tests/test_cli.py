@@ -310,6 +310,13 @@ class TestBenchOutcomes:
         assert status == 2 and "suite failed" in err
         assert target.read_text() == "old report\n"
 
+    def test_negative_seed_exits_2_before_any_run(self, mini_suite, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qapga.bench.run", lambda *args: calls.append(args))
+        status, out, err = invoke(mini_suite + ["--seeds", "1,-1"])
+        assert status == 2 and "rng_seed must be >= 0" in err
+        assert calls == [] and out == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, mini_suite, jobs):
         status, out, err = invoke(mini_suite + ["--seeds", "1", "--jobs", jobs])

@@ -256,6 +256,72 @@ class TestCostChunks:
             _costs(inst, perms)
 
 
+class TestTakeGather:
+    """_costs on the facility-block path and on any chunk of whole permutations"""
+
+    @staticmethod
+    def random_case(n, m, fits, seed):
+        rng = np.random.default_rng(seed)
+        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
+        if not fits:  # worst case beyond int64; only n=1 has a cost beyond it too
+            flow[0, 0] = 2**40
+            dist[0, -1] = 2**30
+        inst = Instance("take", n, flow, dist)
+        assert inst.fits_int64 is fits
+        return inst, rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+
+    def assert_exact(self, inst, perms):
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        ref = [double_sum_cost(flow, dist, p) for p in perms.tolist()]
+        if max(ref, default=0) > 2**63 - 1:
+            with pytest.raises(CostOverflowError):
+                _costs(inst, perms)
+        else:
+            got = _costs(inst, perms)
+            assert got.dtype == np.int64 and got.tolist() == ref
+
+    @pytest.mark.parametrize("n", [150, 256])
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_facility_blocks_match_the_double_sum(self, n, fits):
+        # n=150 splits each permutation into facility blocks of 109 and 41 rows
+        assert n * n > _CHUNK_CELLS
+        self.assert_exact(*self.random_case(n, 3, fits, seed=n))
+
+    @pytest.mark.parametrize("n", [1, 9, 100, 150])
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_empty_input(self, n, fits):
+        inst, perms = self.random_case(n, 0, fits, seed=n)
+        got = _costs(inst, perms)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), fits=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_any_chunk_of_whole_permutations(self, n, fits, seed, data):
+        rows = _CHUNK_CELLS // (n * n)
+        m = data.draw(st.integers(0, 3 * rows), label="m")
+        self.assert_exact(*self.random_case(n, m, fits, seed))
+
+    def test_overflow_in_a_later_chunk_raises(self):
+        # n=200: facility blocks of rows 0-80, 81-161 and 162-199.  The cost is
+        # >= 2**70 exactly when p[190] = 0 and p[191] = 1, which holds only in
+        # the second permutation, inside its last block
+        n = 200
+        rng = np.random.default_rng(n)
+        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
+        flow[190, 191] = 2**40
+        dist[0, 1] = 2**30
+        inst = Instance("late", n, flow, dist)
+        bad = np.arange(n)
+        bad[[0, 1, 190, 191]] = [190, 191, 0, 1]
+        perms = np.stack([np.roll(np.arange(n), 1), bad])
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        assert _costs(inst, perms[:1]).tolist() == [double_sum_cost(flow, dist, perms[0].tolist())]
+        assert double_sum_cost(flow, dist, bad.tolist()) > 2**63 - 1
+        with pytest.raises(CostOverflowError):
+            _costs(inst, perms)
+
+
 class TestSwapDelta:
     def test_zero_flow(self):
         inst = Instance("z", 4, np.zeros((4, 4), np.int64),
