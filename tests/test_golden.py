@@ -99,3 +99,10 @@ def test_golden_oracle_n7():
     res = exhaustive_optimum(random_instance(7, 50, rng=np.random.default_rng(12)))
     assert res.optimum == 29311
     assert res.argmin.tolist() == [1, 0, 2, 6, 3, 5, 4]
+
+
+def test_golden_oracle_n9():
+    res = exhaustive_optimum(random_instance(9, 100, rng=np.random.default_rng(1)))
+    assert res.optimum == 202665
+    assert res.argmin.tolist() == [7, 4, 6, 8, 1, 5, 0, 3, 2]
+    assert res.explored == 362880

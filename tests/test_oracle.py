@@ -3,11 +3,19 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qapga import (
     CostOverflowError, GaConfig, Instance, evaluate_cost, exhaustive_optimum, random_instance, run,
 )
+from qapga.instance import _costs
 from qapga.oracle import OracleLimitError
+
+
+def all_permutations(n):
+    """every permutation of range(n) as rows, in lexicographic order"""
+    return np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
 
 
 class TestExhaustiveOptimum:
@@ -56,6 +64,49 @@ class TestExhaustiveOptimum:
         assert evaluate_cost(inst, np.array([0, 1, 2])) == 2**62
         with pytest.raises(CostOverflowError):
             exhaustive_optimum(inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), big=st.sampled_from([None, 2**61, 2**62]), data=st.data())
+    def test_matches_the_first_argmin_over_all_permutations(self, n, big, data):
+        # entries in 0..2 make ties common, so the tie-break is exercised.  A
+        # big flow entry puts the instance over the int64 budget: 2**61 keeps
+        # every cost exact, 2**62 overflows wherever it meets a distance of 2
+        cells = st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)
+        flow, dist = (np.array(data.draw(cells), np.int64).reshape(n, n) for _ in range(2))
+        if big is not None:
+            flow[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = big
+        inst = Instance("ties", n, flow, dist)
+        perms = all_permutations(n)
+        try:
+            ref = _costs(inst, perms)
+        except CostOverflowError:
+            with pytest.raises(CostOverflowError):
+                exhaustive_optimum(inst)
+            return
+        res = exhaustive_optimum(inst)
+        i = int(np.argmin(ref))
+        assert res.optimum == ref[i]
+        assert res.argmin.tolist() == perms[i].tolist()
+        assert res.explored == factorial(n)
+
+    def test_all_zero_n8_gives_the_identity(self):
+        zero = np.zeros((8, 8), np.int64)
+        res = exhaustive_optimum(Instance("zero", 8, zero, zero))
+        assert res.optimum == 0
+        assert res.argmin.tolist() == list(range(8))
+        assert res.explored == factorial(8)
+
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 9])
+    def test_only_optimum_is_the_last_permutation(self, n):
+        # only diagonal cells weigh: cost(p) = sum_i (i + 1) * (p[i] + 1), which
+        # the rearrangement inequality makes smallest only at p = [n-1, ..., 0]
+        w = np.diag(np.arange(1, n + 1))
+        inst = Instance("last", n, w, w)
+        ref = _costs(inst, all_permutations(n))
+        assert np.flatnonzero(ref == ref.min()).tolist() == [factorial(n) - 1]
+        res = exhaustive_optimum(inst)
+        assert res.optimum == ref[-1]
+        assert res.argmin.tolist() == list(range(n - 1, -1, -1))
 
     def test_custom_limit(self):
         rng = np.random.default_rng(10)
