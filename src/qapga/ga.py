@@ -109,9 +109,10 @@ def config_from_text(text: str) -> GaConfig:
     """Build a GaConfig from flat `key = value` lines.
 
     Blank lines and `#` comments are ignored; unknown keys are errors; the
-    literal value `none` clears an optional field.
+    literal value `none` clears an optional field.  A key may appear once.
     """
     values = {}
+    lines = {}  # key -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,6 +122,9 @@ def config_from_text(text: str) -> GaConfig:
         key, _, value = (s.strip() for s in line.partition("="))
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         if value.lower() == "none":
             values[key] = None
             continue
@@ -249,11 +253,18 @@ def _pick(cumweights: np.ndarray, u):
 def roulette_select(
     population: list[Chromosome], weights: np.ndarray, rng: np.random.Generator
 ) -> Chromosome:
-    """Sample one chromosome with probability proportional to its weight."""
+    """Sample one chromosome with probability proportional to its weight.
+
+    The weights need not sum to 1: the wheel spins over their total.  They
+    must be finite and non-negative, and not all zero.
+    """
     if len(population) != len(weights):
         raise ValueError("population and weights have different lengths")
-    cum = np.cumsum(weights)
-    return population[_pick(cum, rng.random())]
+    weights = np.asarray(weights, dtype=np.float64)
+    if not (weights.size and np.isfinite(weights).all() and (weights >= 0).all() and weights.any()):
+        raise ValueError("weights must be finite and non-negative, and not all zero")
+    cum = np.cumsum(weights / weights.max())  # scaled, so the total cannot overflow
+    return population[_pick(cum, rng.random() * cum[-1])]
 
 
 def evolve_step(

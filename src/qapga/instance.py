@@ -22,8 +22,8 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1
 # most cost cells that _costs gathers at once (the output of each of its two
-# takes); bounds peak memory and sizes the oracle's batches.  1 << 14 keeps each
-# int64 temporary within 128 KB: larger chunks ran at half speed at n=30
+# takes); bounds peak memory whatever the batch a caller passes.  1 << 14 keeps
+# each int64 temporary within 128 KB: larger chunks ran at half speed at n=30
 # (BENCH_7.json) and made the n=9 oracle slower (BENCH_8.json)
 _CHUNK_CELLS = 1 << 14
 

@@ -4,14 +4,19 @@ generator for property tests."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, permutations
+from itertools import permutations
 from math import factorial
 
 import numpy as np
 
-from .instance import _CHUNK_CELLS, Instance, _costs
+from .instance import Instance, _costs
 
 DEFAULT_LIMIT = 10
+# positions that each block fills from one table of all their orderings; 6
+# gives blocks of 720 permutations.  At n=9 it ran the oracle in 0.47 of the
+# time of building every permutation with itertools; 5 (0.62) and 8 (0.54)
+# were slower, and 7 (0.46) took 1.1 MB more peak memory (BENCH_9.json)
+_SUFFIX = 6
 
 
 class OracleLimitError(ValueError):
@@ -28,31 +33,36 @@ class OracleResult:
 def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:
     """Enumerate all n! permutations; deterministic lexicographic tie-break.
 
-    itertools.permutations yields in lexicographic order and is evaluated in
-    chunks of rows; keeping the first minimum of each chunk and the first
-    strict improvement across chunks gives the lexicographically smallest
-    argmin.
+    Each prefix of the first n - k positions, k = min(n, _SUFFIX), taken in
+    the lexicographic order of itertools.permutations, gets one block of k!
+    rows: the prefix, then rest[table], where rest is the unused locations in
+    ascending order and table is every ordering of range(k) in lexicographic
+    order.  An ascending rest keeps the table's order, so the blocks run
+    through all permutations in lexicographic order; the first minimum of
+    each block and the first strict improvement across blocks give the
+    lexicographically smallest argmin.  Every cost is computed, so one
+    beyond int64 raises CostOverflowError.
     """
     if inst.n > limit:
         raise OracleLimitError(
             f"n={inst.n} exceeds the enumeration limit {limit}; refusing"
         )
     n = inst.n
-    rows = max(1, _CHUNK_CELLS // (n * n))
-    perms = permutations(range(n))
+    k = min(n, _SUFFIX)
+    table = np.array(list(permutations(range(k))), dtype=np.int64)
+    block = np.empty((len(table), n), dtype=np.int64)
     best_cost = None
     best_perm = None
-    while True:
-        chunk = np.fromiter(chain.from_iterable(islice(perms, rows)), dtype=np.int64)
-        if not chunk.size:
-            break
-        chunk = chunk.reshape(-1, n)
-        costs = _costs(inst, chunk)
+    for prefix in permutations(range(n), n - k):
+        rest = np.array([loc for loc in range(n) if loc not in prefix])
+        block[:, : n - k] = prefix
+        block[:, n - k :] = rest[table]
+        costs = _costs(inst, block)
         i = int(np.argmin(costs))
         if best_cost is None or costs[i] < best_cost:
             best_cost = int(costs[i])
-            best_perm = chunk[i].copy()
-    return OracleResult(optimum=best_cost, argmin=best_perm, explored=factorial(inst.n))
+            best_perm = block[i].copy()
+    return OracleResult(optimum=best_cost, argmin=best_perm, explored=factorial(n))
 
 
 def random_instance(

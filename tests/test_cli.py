@@ -201,6 +201,13 @@ class TestConfigFlag:
         assert status == 2
         assert "unknown config key" in err
 
+    def test_repeated_key_exits_2(self, tmp_path, tiny1_path):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_text("population_size = 10\n# again\npopulation_size = 20\n")
+        status, _, err = invoke(["solve", str(tiny1_path), "--config", str(cfg)])
+        assert status == 2
+        assert "line 3: population_size is already set on line 1" in err
+
     def test_none_for_a_required_field_exits_2(self, tmp_path, tiny1_path):
         cfg = tmp_path / "ga.conf"
         cfg.write_text("population_size = none\n")

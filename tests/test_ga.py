@@ -233,6 +233,24 @@ class TestSelection:
         first = sum(roulette_select(pop, w, rng) is pop[0] for _ in range(100_000))
         assert abs(first - 75_000) <= 1000
 
+    @pytest.mark.parametrize("weights, share", [
+        ([1.0, 1.0], 0.5), ([0.25, 0.25], 0.5), ([3.0, 1.0], 0.75), ([10.0, 30.0], 0.25),
+        ([1e308, 1e308], 0.5),
+    ])
+    def test_roulette_frequencies_with_unnormalised_weights(self, weights, share):
+        pop = [Chromosome(np.array([0, 1]), 1), Chromosome(np.array([1, 0]), 2)]
+        rng = np.random.default_rng(6)
+        first = sum(roulette_select(pop, np.array(weights), rng) is pop[0] for _ in range(20_000))
+        assert abs(first - 20_000 * share) <= 400
+
+    @pytest.mark.parametrize("weights", [
+        [-1.0, 2.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf],
+    ])
+    def test_roulette_rejects_bad_weights(self, weights):
+        pop = [Chromosome(np.array([0, 1]), 1), Chromosome(np.array([1, 0]), 2)]
+        with pytest.raises(ValueError, match="finite and non-negative, and not all zero"):
+            roulette_select(pop, np.array(weights), np.random.default_rng(0))
+
     def test_roulette_rejects_mismatch(self):
         pop = [Chromosome(np.array([0, 1]), 1)]
         with pytest.raises(ValueError):
@@ -436,6 +454,11 @@ class TestConfigText:
         from qapga import config_from_text
         with pytest.raises(ValueError, match="bad value"):
             config_from_text("population_size = many\n")
+
+    def test_repeated_key_names_both_lines(self):
+        from qapga import config_from_text
+        with pytest.raises(ValueError, match="line 3: population_size is already set on line 1"):
+            config_from_text("population_size = 10\nrng_seed = 1\npopulation_size = 20\n")
 
     @pytest.mark.parametrize("key, value", [
         ("population_size", "1_0"), ("rng_seed", "٣"), ("max_generations", "+5"),

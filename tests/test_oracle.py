@@ -15,7 +15,7 @@ from qapga.oracle import OracleLimitError
 
 def all_permutations(n):
     """every permutation of range(n) as rows, in lexicographic order"""
-    return np.array(list(permutations(range(n))), dtype=np.int64).reshape(-1, n)
+    return np.array(list(permutations(range(n))), dtype=np.int64)
 
 
 class TestExhaustiveOptimum:
