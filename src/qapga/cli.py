@@ -164,6 +164,8 @@ def _cmd_bench(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    if args.limit < 1:
+        raise _UsageError(f"bad --limit value {args.limit}: must be >= 1")
     inst = _load_instance(args.instance)
     result = exhaustive_optimum(inst, limit=args.limit)
     perm_1based = " ".join(str(v + 1) for v in result.argmin)

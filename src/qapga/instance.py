@@ -54,14 +54,15 @@ def _as_int64(label: str, m) -> np.ndarray:
     return m.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A QAP instance: size n plus flow and distance matrices.
 
     The matrices are stored as read-only int64.  fits_int64 is true when the
     worst-case cost n^2 * max(flow) * max(dist) fits in int64, so that every
     cost and swap delta can be computed in int64 without overflow; otherwise
-    the same kernels run in Python integers (see _exact).
+    the same kernels run in Python integers (see _exact).  Instances compare
+    by value (__eq__ below) and are unhashable.
     """
 
     name: str

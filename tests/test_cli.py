@@ -105,6 +105,21 @@ class TestOracle:
         assert status == 2
         assert "refusing" in err
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_a_usage_error(self, tmp_path, limit):
+        # checked before the instance is read, so a missing file does not matter
+        status, out, err = invoke(["oracle", str(tmp_path / "missing.dat"), "--limit", limit])
+        assert status == 1
+        assert f"bad --limit value {limit}" in err
+        assert out == ""
+
+    def test_limit_one_refuses_n2(self, tmp_path):
+        p = tmp_path / "tiny2.dat"
+        p.write_text(TINY2)
+        status, _, err = invoke(["oracle", str(p), "--limit", "1"])
+        assert status == 2
+        assert "n=2 exceeds the enumeration limit 1" in err
+
 
 class TestBench:
     def test_report_matches_run_suite(self, tmp_path):

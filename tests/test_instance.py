@@ -472,6 +472,16 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError):
             tiny3.flow[0, 0] = 5
 
+    def test_unhashable_by_name(self, tiny3):
+        # equality compares the matrices, so no hash is defined; the error
+        # names Instance, not the numpy array a field-wise hash would reach
+        with pytest.raises(TypeError, match="unhashable type: 'Instance'"):
+            hash(tiny3)
+        with pytest.raises(TypeError, match="'Instance'"):
+            {tiny3}
+        twin = Instance(tiny3.name, tiny3.n, tiny3.flow.copy(), tiny3.dist.copy())
+        assert twin == tiny3 and not twin != tiny3
+
 
 class TestReadNumber:
     @pytest.mark.parametrize("kind, text, value", [

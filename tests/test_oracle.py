@@ -10,7 +10,7 @@ from qapga import (
     CostOverflowError, GaConfig, Instance, evaluate_cost, exhaustive_optimum, random_instance, run,
 )
 from qapga.instance import _costs
-from qapga.oracle import OracleLimitError
+from qapga.oracle import _SUFFIX, OracleLimitError
 
 
 def all_permutations(n):
@@ -107,6 +107,67 @@ class TestExhaustiveOptimum:
         res = exhaustive_optimum(inst)
         assert res.optimum == ref[-1]
         assert res.argmin.tolist() == list(range(n - 1, -1, -1))
+
+    def test_n10_only_optimum_is_the_last_permutation(self):
+        # the deepest prefix at the default limit (10 - _SUFFIX positions);
+        # the rearrangement inequality gives the optimum without a reference
+        n = 10
+        w = np.diag(np.arange(1, n + 1))
+        res = exhaustive_optimum(Instance("last10", n, w, w))
+        assert res.optimum == sum((i + 1) * (n - i) for i in range(n))
+        assert res.argmin.tolist() == list(range(n - 1, -1, -1))
+        assert res.explored == factorial(10)
+
+    @pytest.mark.parametrize("i, j, over", [
+        (0, 7, [0, 7, 2, 3, 4, 5, 6, 1]), (7, 0, [1, 7, 2, 3, 4, 5, 6, 0]),
+    ])
+    def test_overflow_only_in_the_cross_part_raises(self, i, j, over):
+        # at n=8 facility 0 heads each block and facility 7 ends its suffix, so
+        # flow[0, 7] and flow[7, 0] weigh only in the cross part.  The cost is
+        # 2**62 * dist[p[i], p[j]]: 2**62 mostly, 2**63 where that distance is 2
+        flow = np.zeros((8, 8), np.int64)
+        flow[i, j] = 2**62
+        dist = np.ones((8, 8), np.int64)
+        dist[0, 1] = 2
+        inst = Instance("cross", 8, flow, dist)
+        assert evaluate_cost(inst, np.arange(8)) == 2**62
+        with pytest.raises(CostOverflowError):
+            evaluate_cost(inst, np.array(over))
+        with pytest.raises(CostOverflowError):
+            exhaustive_optimum(inst)
+
+    def test_over_budget_n8_matches_the_first_argmin_of_costs(self):
+        # one big flow entry in each part (prefix 0-1, cross 1-5, suffix 6-3,
+        # while the prefix is 2 or 3 facilities long) puts the instance over
+        # the int64 budget.  Distances of 1..2 above the diagonal and 3..4
+        # below it keep every cost within 3 * 2**59 .. 3 * 2**61 + 512, so the
+        # Python-int path must be exact, and each big entry pulls the argmin
+        # towards p[i] < p[j] for its cell (i, j)
+        assert 2 <= 8 - _SUFFIX <= 3
+        rng = np.random.default_rng(88)
+        flow = rng.integers(0, 3, size=(8, 8))
+        dist = 1 + 2 * np.tri(8, k=-1, dtype=np.int64) + rng.integers(0, 2, size=(8, 8))
+        flow[0, 1] = flow[1, 5] = flow[6, 3] = 2**59
+        inst = Instance("big8", 8, flow, dist)
+        assert not inst.fits_int64
+        perms = all_permutations(8)
+        ref = _costs(inst, perms)
+        res = exhaustive_optimum(inst)
+        i = int(np.argmin(ref))
+        assert res.optimum == ref[i] >= 3 * 2**59
+        assert res.argmin.tolist() == perms[i].tolist()
+        assert res.explored == factorial(8)
+
+    @pytest.mark.parametrize("limit", [True, False, 10.0, "10", None, 0, -1])
+    def test_rejects_a_limit_that_is_not_a_positive_integer(self, tiny3, limit):
+        with pytest.raises(ValueError, match="limit must be an integer >= 1") as e:
+            exhaustive_optimum(tiny3, limit=limit)
+        assert not isinstance(e.value, OracleLimitError)
+
+    def test_numpy_integer_limit(self, tiny3):
+        assert exhaustive_optimum(tiny3, limit=np.int64(3)).explored == 6
+        with pytest.raises(OracleLimitError):
+            exhaustive_optimum(tiny3, limit=np.int32(2))
 
     def test_custom_limit(self):
         rng = np.random.default_rng(10)
