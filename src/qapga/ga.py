@@ -225,12 +225,16 @@ def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def selection_weights(costs) -> np.ndarray:
-    """Roulette weights for minimization: lower cost, strictly higher weight.
+    """Roulette weights for minimization: lower cost, higher weight.
 
     Raw weight is (max + min - cost); when the cheapest cost is 0 the worst
     raw weight degenerates to 0, so 1 is added across the board to keep every
     weight positive.  Equal costs fall back to uniform weights.  The raw
     weights are formed in float64 from (max - cost), which cannot overflow.
+    A lower cost gets a strictly higher weight while every cost is below
+    2^52: the raw weights are then exact in float64 and stay distinct when
+    divided by their sum.  Past that, nearby costs can round to one weight:
+    in [0, 1, 2**62 + 5], costs 0 and 1 get equal weights.
     """
     costs = np.asarray(costs, dtype=np.int64)
     if costs.size == 0:
@@ -323,8 +327,9 @@ def evolve_step(
         evals += copied.size
         children[mutated, a], children[mutated, b] = children[mutated, b], children[mutated, a]
 
-    child_costs[dirty] = _costs(inst, children[dirty])
-    evals += int(dirty.sum())
+    if crossed.any():
+        child_costs[dirty] = _costs(inst, children[dirty])
+        evals += int(dirty.sum())
 
     assert (np.sort(children, axis=1) == np.arange(n)).all()
     if _counter is not None:

@@ -33,11 +33,24 @@ class OracleLimitError(ValueError):
     """Instance too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
+    """Result of exhaustive_optimum; compares by value and is unhashable."""
+
     optimum: int
     argmin: np.ndarray  # lexicographically smallest optimal permutation
     explored: int  # always n!
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleResult):
+            return NotImplemented
+        return (
+            self.optimum == other.optimum
+            and self.explored == other.explored
+            and np.array_equal(self.argmin, other.argmin)
+        )
 
 
 def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:

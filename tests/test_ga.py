@@ -468,3 +468,37 @@ class TestConfigText:
         from qapga import config_from_text
         with pytest.raises(ValueError, match=f"line 2: bad value {re.escape(repr(value))} for {key}"):
             config_from_text(f"# header\n{key} = {value}\n")
+
+
+class TestEvolveStepEvaluations:
+    @pytest.mark.parametrize("cx_rate, full_calls", [(0.0, 0), (1.0, 1)])
+    def test_full_evaluation_only_when_a_pair_crosses(self, monkeypatch, cx_rate, full_calls):
+        import qapga.ga as ga
+        real, calls = ga._costs, []
+
+        def counting(inst, perms):
+            calls.append(len(perms))
+            return real(inst, perms)
+        monkeypatch.setattr(ga, "_costs", counting)
+        rng = np.random.default_rng(36)
+        inst = random_instance(8, 10, rng=rng)
+        cfg = GaConfig(population_size=20, crossover_rate=cx_rate, mutation_rate=1.0)
+        perms, costs = init_population(inst, 20, rng)
+        counter = [0]
+        perms, costs = evolve_step(inst, perms, costs, cfg, rng, counter)
+        assert calls == [20] + [20] * full_calls  # init_population, then the children
+        assert counter == [20]  # 10 pairs: 20 children priced, full or by delta
+        assert costs.tolist() == [evaluate_cost(inst, p) for p in perms]
+
+
+class TestSelectionWeightsFloatEdge:
+    def test_costs_past_2_52_can_share_a_weight(self):
+        # the documented edge: 2**62 + 5 - 0 and 2**62 + 5 - 1 round to one float64
+        w = selection_weights([0, 1, 2**62 + 5])
+        assert w[0] == w[1] > w[2] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**52 - 1), min_size=2, max_size=60, unique=True))
+    def test_strictly_decreasing_below_2_52(self, costs):
+        w = selection_weights(costs)
+        assert (np.diff(w[np.argsort(costs)]) < 0).all()

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -14,7 +16,7 @@ from qapga import (
     render_qaplib,
     swap_delta,
 )
-from qapga.instance import _CHUNK_CELLS, _costs, read_number
+from qapga.instance import _CHUNK_CELLS, _costs, _swap_deltas, read_number
 from qapga.oracle import random_instance
 
 
@@ -506,3 +508,78 @@ class TestReadNumber:
     def test_rejects(self, kind, text):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             read_number(kind, text)
+
+
+class TestSwapDeltaRows:
+    """_swap_deltas against full evaluation of each row before and after its swap"""
+
+    @staticmethod
+    def random_case(n, m, fits, seed):
+        # asymmetric matrices with a nonzero diagonal; over budget, the true
+        # costs still fit int64, so _costs can price both sides
+        rng = np.random.default_rng(seed)
+        flow, dist = (rng.integers(1, 100, size=(n, n)) for _ in range(2))
+        flow[0, 1] = flow[1, 0] + 1  # never symmetric
+        if not fits:
+            flow[0, 0] = 2**40
+            dist[0, -1] = 2**30
+        inst = Instance("rows", n, flow, dist)
+        assert inst.fits_int64 is fits
+        perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        a = rng.integers(0, n, m)
+        b = (a + rng.integers(1, n, m)) % n
+        return inst, perms, a, b
+
+    @staticmethod
+    def swapped(perms, a, b):
+        q = perms.copy()
+        rows = np.arange(len(q))
+        q[rows, a], q[rows, b] = perms[rows, b], perms[rows, a]
+        return q
+
+    def assert_deltas(self, inst, perms, a, b):
+        want = _costs(inst, self.swapped(perms, a, b)) - _costs(inst, perms)
+        got = _swap_deltas(inst, perms, a, b)
+        assert [int(d) for d in got] == want.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), m=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_change_in_full_cost(self, n, m, seed):
+        self.assert_deltas(*self.random_case(n, m, True, seed))
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 12), m=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_change_in_full_cost_over_budget(self, n, m, seed):
+        self.assert_deltas(*self.random_case(n, m, False, seed))
+
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_strided_and_int32_perms(self, fits):
+        inst, perms, a, b = self.random_case(9, 40, fits, seed=7)
+        assert not perms[::2].flags.c_contiguous
+        for rows in (perms[::2], perms[::2].astype(np.int32)):
+            self.assert_deltas(inst, rows, a[::2], b[::2])
+
+
+class TestTransposes:
+    def test_read_only_contiguous_transposes(self):
+        inst = random_instance(7, 50, rng=np.random.default_rng(5))
+        for m, m_t in ((inst.flow, inst.flow_t), (inst.dist, inst.dist_t)):
+            assert np.array_equal(m_t, m.T)
+            assert m_t.flags.c_contiguous and not m_t.flags.writeable
+            with pytest.raises(ValueError):
+                m_t[0, 1] = 5
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy])
+    def test_copies_keep_read_only_transposes(self, round_trip):
+        inst = random_instance(6, 50, rng=np.random.default_rng(6))
+        twin = round_trip(inst)
+        assert twin == inst and twin.fits_int64 is inst.fits_int64
+        for label in ("flow", "dist", "flow_t", "dist_t"):
+            m = getattr(twin, label)
+            assert np.array_equal(m, getattr(inst, label)) and not m.flags.writeable
+        assert np.array_equal(twin.dist_t, twin.dist.T)
+
+    def test_repr_and_equality_ignore_transposes(self, tiny3):
+        assert "_t" not in repr(tiny3)
+        assert tiny3 == Instance(tiny3.name, tiny3.n, tiny3.flow, tiny3.dist)

@@ -10,7 +10,7 @@ from qapga import (
     CostOverflowError, GaConfig, Instance, evaluate_cost, exhaustive_optimum, random_instance, run,
 )
 from qapga.instance import _costs
-from qapga.oracle import _SUFFIX, OracleLimitError
+from qapga.oracle import _SUFFIX, OracleLimitError, OracleResult
 
 
 def all_permutations(n):
@@ -223,3 +223,16 @@ def test_ga_never_beats_oracle_and_mostly_matches():
         assert best >= opt
         matched += best == opt
     assert matched >= 14
+
+
+class TestOracleResultValue:
+    def test_equal_by_value_and_unhashable(self):
+        res = exhaustive_optimum(random_instance(5, 20, rng=np.random.default_rng(8)))
+        twin = OracleResult(res.optimum, res.argmin.copy(), res.explored)
+        assert res == twin and not res != twin
+        assert res != OracleResult(res.optimum, res.argmin[::-1].copy(), res.explored)
+        assert res != OracleResult(res.optimum + 1, res.argmin, res.explored)
+        assert res != OracleResult(res.optimum, res.argmin, res.explored + 1)
+        assert res != (res.optimum, res.argmin, res.explored)
+        with pytest.raises(TypeError, match="unhashable type: 'OracleResult'"):
+            hash(res)
