@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .ga import _CONFIG_FIELDS, GaConfig, config_from_text, run
-from .instance import QapError, parse_qaplib, read_number
+from .instance import ParseError, QapError, parse_qaplib, read_number
 from .oracle import DEFAULT_LIMIT, exhaustive_optimum
 
 
@@ -106,7 +106,10 @@ def _load_instance(path: Path):
         data = path.read_bytes()
     except OSError as e:
         raise QapError(f"cannot read {path}: {e}") from None
-    return parse_qaplib(data, name=path.stem)
+    try:
+        return parse_qaplib(data, name=path.stem)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _cmd_solve(args, out) -> int:

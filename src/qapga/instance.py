@@ -15,7 +15,6 @@ signed 64-bit range raise CostOverflowError instead of wrapping.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -122,13 +121,12 @@ def check_permutation(p: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def _locate(data: bytes, k: int) -> tuple[str, str]:
-    """Text and 'line:col' of the k-th whitespace-separated token (col counts
-    bytes); only error messages need it, so it re-scans data from the start."""
-    m = next(itertools.islice(re.finditer(rb"\S+", data), k, None))
-    line = data.count(b"\n", 0, m.start()) + 1
-    col = m.start() - data.rfind(b"\n", 0, m.start())
-    return m.group().decode(errors="replace"), f"{line}:{col}"
+def _position(data: bytes, offset: int) -> str:
+    """'line:col' of the byte at offset in data (col counts bytes); only error
+    messages need it, so it counts the line breaks before offset."""
+    line = data.count(b"\n", 0, offset) + 1
+    col = offset - data.rfind(b"\n", 0, offset)
+    return f"{line}:{col}"
 
 
 def read_number(kind: type, text: str):
@@ -144,41 +142,66 @@ def parse_qaplib(text: str | bytes, name: str = "") -> Instance:
     """Parse a QAPLIB .dat stream: n, then two n x n matrices row-major.
 
     Tokens are ASCII digit runs [0-9]+ (read_number's int grammar, unsigned)
-    separated by any ASCII whitespace, including blank lines.  Raises ParseError
-    on malformed input, naming the first bad token and its line:column.
+    separated by runs of the six bytes bytes.split() treats as whitespace
+    (space, \\t, \\n, \\v, \\f, \\r), blank lines included.  Raises
+    ParseError on malformed input, naming the first bad token and its
+    line:column: a bad header, else the first bad matrix entry, else a short
+    count, else the first trailing token.
+
+    One numpy pass over the bytes finds every token's start and end offset.
+    A matrix entry of at most 18 digits always fits int64, so only longer
+    entries and entries holding a byte other than a digit get the exact check;
+    the rest are converted by one np.fromstring over the body, which must see
+    no unchecked token, as it saturates values beyond int64 silently.
     """
     data = text.encode() if isinstance(text, str) else text
-    tokens = data.split()
-    if not tokens:
+    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
+    # a byte of a token: neither space nor \t \n \v \f \r (bytes 9..13)
+    word = (buf != 32) & ((buf - 9) > 4)
+    edges = np.flatnonzero(word[1:] != word[:-1])
+    starts, ends = edges[0::2], edges[1::2]  # offsets into data, ends exclusive
+    count = len(starts)
+
+    def token(k: int) -> tuple[str, str]:
+        """Text and 'line:col' of token k, for error messages."""
+        start = int(starts[k])
+        return data[start : ends[k]].decode(errors="replace"), _position(data, start)
+
+    if not count:
         raise ParseError("unexpected end of input: expected instance size n")
+    head, pos = token(0)
     try:
-        n = read_number(int, tokens[0].decode(errors="replace"))
+        n = read_number(int, head)
     except ValueError:
-        tok, pos = _locate(data, 0)
-        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n") from None
+        raise ParseError(f"malformed token {head!r} at {pos}: expected instance size n") from None
     if n < 1:
-        raise ParseError(f"instance size must be positive, got {n} at {_locate(data, 0)[1]}")
+        raise ParseError(f"instance size must be positive, got {n} at {pos}")
 
     size = 2 * n * n
-    body = tokens[1 : 1 + size]
-    # up to 18 digits always fits int64; longer tokens take the exact check
-    if not all(map(bytes.isdigit, body)) or max(map(len, body), default=0) > 18:
-        for k, raw in enumerate(body, start=1):
-            if raw.isdigit() and int(raw) <= INT64_MAX:
-                continue
-            tok, pos = _locate(data, k)
-            if raw.isdigit():
-                raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
-            if raw[:1] == b"-" and raw[1:].isdigit():
-                raise ParseError(f"negative matrix entry {tok} at {pos}")
-            raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
-    if len(body) < size:
-        raise ParseError(f"expected {size} matrix entries, found {len(body)}")
-    if len(tokens) > 1 + size:
-        tok, pos = _locate(data, 1 + size)
+    found = min(size, count - 1)  # body tokens are 1..found
+    suspects = np.flatnonzero(ends[1 : found + 1] - starts[1 : found + 1] > 18) + 1
+    if data.translate(None, b"0123456789 \t\n\v\f\r"):
+        # bytes that are neither digits nor whitespace, as data offsets, and their tokens
+        odd = np.flatnonzero(word & ((buf - 48) > 9)) - 1
+        owner = np.searchsorted(starts, odd, side="right") - 1
+        suspects = np.union1d(suspects, owner[(owner >= 1) & (owner <= found)])
+    for k in suspects.tolist():
+        raw = data[starts[k] : ends[k]]
+        if raw.isdigit() and int(raw) <= INT64_MAX:
+            continue
+        tok, pos = token(k)
+        if raw.isdigit():
+            raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
+        if raw[:1] == b"-" and raw[1:].isdigit():
+            raise ParseError(f"negative matrix entry {tok} at {pos}")
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
+    if found < size:
+        raise ParseError(f"expected {size} matrix entries, found {found}")
+    if count > 1 + size:
+        tok, pos = token(1 + size)
         raise ParseError(f"trailing garbage {tok!r} at {pos}")
 
-    values = np.array(list(map(int, body)), dtype=np.int64)
+    values = np.fromstring(data[starts[1] : ends[size]], dtype=np.int64, sep=" ")
     return Instance(
         name=name, n=n, flow=values[: n * n].reshape(n, n), dist=values[n * n :].reshape(n, n)
     )

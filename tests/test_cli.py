@@ -179,6 +179,20 @@ class TestBench:
         assert status == 2
         assert "no .dat files" in err
 
+    def test_malformed_file_is_named(self, tmp_path):
+        inst_dir = tmp_path / "qaplib"
+        inst_dir.mkdir()
+        (inst_dir / "good.dat").write_text(TINY2)
+        bad = inst_dir / "mini.dat"
+        bad.write_text("1\n3\nx\n")
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("name,best_known,source\ngood,6,exact\nmini,21,exact\n")
+        status, out, err = invoke(["bench", "--dir", str(inst_dir), "--baselines",
+                                   str(baselines), "--seeds", "1", "--pop", "2"])
+        assert status == 2
+        assert err == f"error: {bad}: malformed token 'x' at 3:1: expected matrix entry\n"
+        assert out == ""
+
     def test_bad_seeds_exits_1(self, tmp_path):
         status, _, err = invoke(["bench", "--dir", str(tmp_path),
                                  "--baselines", str(tmp_path / "x.csv"),

@@ -114,6 +114,135 @@ class TestParse:
             inst = random_instance(n, 30, rng=rng, name="rt")
             assert parse_qaplib(render_qaplib(inst), name="rt") == inst
 
+    def test_round_trip_n100(self):
+        inst = random_instance(100, 10**6, rng=np.random.default_rng(8), name="rt")
+        assert parse_qaplib(render_qaplib(inst), name="rt") == inst
+
+    def test_twenty_digit_entry_reports_position(self):
+        with pytest.raises(ParseError, match=re.escape(
+                "matrix entry 99999999999999999999 at 3:3 exceeds signed 64-bit range")):
+            parse_qaplib("2\n0 1\n1 99999999999999999999\n0 3\n3 0")
+
+    def test_non_digit_trailing_token(self):
+        with pytest.raises(ParseError, match=re.escape("trailing garbage 'x' at 5:5")):
+            parse_qaplib("2\n0 1\n1 0\n0 3\n3 0 x 9")
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\u00a0"])
+    def test_non_ascii_whitespace_is_part_of_a_token(self, sep):
+        tok = f"1{sep}0"
+        for text in (f"2\n0 1\n1 {tok}\n0 3\n3 0", f"2\n0 1\n1 {tok}\n0 3\n3 0".encode()):
+            with pytest.raises(ParseError, match=re.escape(
+                    f"malformed token {tok!r} at 3:3: expected matrix entry")):
+                parse_qaplib(text)
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\r\n"])
+    def test_ascii_whitespace_separates(self, sep):
+        inst = parse_qaplib(sep.join(["2", "0", "1", "1", "0", "0", "3", "3", "0"]) + sep)
+        assert inst.flow.tolist() == [[0, 1], [1, 0]]
+        assert inst.dist.tolist() == [[0, 3], [3, 0]]
+
+
+def _reference_parse(text: str | bytes) -> tuple[int, list, list]:
+    """parse_qaplib's grammar and messages from bytes.split() and int(): the
+    header, then each matrix entry in order, then the count, then trailing tokens."""
+    data = text.encode() if isinstance(text, str) else text
+    tokens, offsets, at = data.split(), [], 0
+    for tok in tokens:
+        at = data.index(tok, at)
+        offsets.append(at)
+        at += len(tok)
+
+    def where(k):
+        at = offsets[k]
+        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        return tokens[k].decode(errors="replace"), f"{line}:{col}"
+
+    if not tokens:
+        raise ParseError("unexpected end of input: expected instance size n")
+    if not re.fullmatch(rb"-?[0-9]+", tokens[0]):
+        tok, pos = where(0)
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n")
+    n = int(tokens[0])
+    if n < 1:
+        raise ParseError(f"instance size must be positive, got {n} at {where(0)[1]}")
+    size = 2 * n * n
+    body = tokens[1 : 1 + size]
+    for k, raw in enumerate(body, start=1):
+        tok, pos = where(k)
+        if re.fullmatch(rb"[0-9]+", raw):
+            if int(raw) > 2**63 - 1:
+                raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
+        elif re.fullmatch(rb"-[0-9]+", raw):
+            raise ParseError(f"negative matrix entry {tok} at {pos}")
+        else:
+            raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
+    if len(body) < size:
+        raise ParseError(f"expected {size} matrix entries, found {len(body)}")
+    if len(tokens) > 1 + size:
+        tok, pos = where(1 + size)
+        raise ParseError(f"trailing garbage {tok!r} at {pos}")
+    values = [int(raw) for raw in body]
+    return n, values[: n * n], values[n * n :]
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"])
+_ENTRIES = st.one_of(
+    st.integers(0, 999).map(str),
+    st.tuples(st.integers(1, 25), st.integers(0, 999)).map(lambda z: "0" * z[0] + str(z[1])),
+    st.integers(10**17, 10**19 - 1).map(str),  # 18 and 19 digits, either side of 2^63
+    st.integers(10**24, 10**25 - 1).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63)]),
+).map(str.encode)
+_BAD_TOKENS = st.sampled_from([
+    b"x", b"-3", b"-", b"+5", b"1_0", b"1e3", b"0x1", b"1.5", b"-99999999999999999999",
+    b"1\x1c2", "1\u00a02".encode(), "\u0663".encode(), b"\xff", b"\x00", b"9\x7f",
+    b"0", b"99999999999999999999",  # bad only as the instance size, bad only as an entry
+])
+
+
+@st.composite
+def _qaplib_streams(draw):
+    """A header, 2 n^2 entries and up to two trailing tokens, cut short or not,
+    with at most one bad token in the header, the body or the trailing tokens;
+    joined by random whitespace runs."""
+    n = draw(st.integers(1, 3))
+    size = 2 * n * n
+    tokens = [str(n).encode()] + draw(st.lists(_ENTRIES, min_size=size, max_size=size + 2))
+    where = draw(st.sampled_from(["none", "header", "body", "trailing"]))
+    if where != "none":
+        lo, hi = {"header": (0, 0), "body": (1, size), "trailing": (1 + size, 2 + size)}[where]
+        tokens.insert(draw(st.integers(lo, hi)), draw(_BAD_TOKENS))
+    if draw(st.integers(0, 3)) == 0:
+        tokens = tokens[: draw(st.integers(0, size))]
+    gap, edge = (st.lists(_WHITESPACE, min_size=k, max_size=3).map(b"".join) for k in (1, 0))
+    data = draw(edge)
+    for k, tok in enumerate(tokens):
+        data += (draw(gap) if k else b"") + tok
+    data += draw(edge)
+    if draw(st.booleans()):
+        try:
+            return data.decode()
+        except UnicodeDecodeError:
+            pass
+    return data
+
+
+class TestParseAgainstReference:
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            result = parse(text)
+        except ParseError as e:
+            return str(e)
+        if isinstance(result, Instance):
+            return result.n, result.flow.ravel().tolist(), result.dist.ravel().tolist()
+        return result
+
+    @settings(max_examples=500, deadline=None)
+    @given(_qaplib_streams())
+    def test_same_instance_or_message(self, text):
+        assert self.outcome(parse_qaplib, text) == self.outcome(_reference_parse, text)
+
 
 class TestEvaluateCost:
     def test_zero_flow_annihilates(self):
