@@ -147,9 +147,15 @@ def config_to_text(cfg: GaConfig) -> str:
 class GaResult:
     best: Chromosome
     generations_run: int
-    evaluations: int
+    full_evaluations: int  # whole-permutation costs, the initial population included
+    delta_evaluations: int  # O(n) swap deltas of mutated verbatim copies
     wall_time_s: float
     history: list[int]
+
+    @property
+    def evaluations(self) -> int:
+        """All cost evaluations, full and delta."""
+        return self.full_evaluations + self.delta_evaluations
 
     def to_dict(self, include_timing: bool = True) -> dict:
         """Serializable view; drop timing for determinism comparisons."""
@@ -158,6 +164,8 @@ class GaResult:
             "best_cost": self.best.cost,
             "generations_run": self.generations_run,
             "evaluations": self.evaluations,
+            "full_evaluations": self.full_evaluations,
+            "delta_evaluations": self.delta_evaluations,
             "history": list(self.history),
         }
         if include_timing:
@@ -182,27 +190,31 @@ def order_crossover_two_point(p1, p2, cut1, cut2) -> tuple[np.ndarray, np.ndarra
     left-to-right with the genes missing from that segment, in the order
     they occur in p2.  Child 2 is the mirror image.  p1 and p2 are either
     two permutations of length n with integer cuts, or two (m, n) stacks
-    with one cut pair per row.
+    with one cut pair per row.  Both children of every pair are built in
+    one pass over the rows of keeper = [p1; p2] and donor = [p2; p1].
     """
     p1, p2, cut1, cut2 = map(np.asarray, (p1, p2, cut1, cut2))
     if p1.shape != p2.shape:
         raise ValueError("parents have different lengths")
     n = p1.shape[-1]
+    if cut1.shape != p1.shape[:-1] or cut2.shape != p1.shape[:-1]:
+        raise ValueError(f"expected one cut pair per pair of parents, got {cut1.shape} cuts "
+                         f"for parents of shape {p1.shape}")
     if not ((0 <= cut1) & (cut1 <= cut2) & (cut2 <= n)).all():
         raise ValueError(f"cut points out of range: ({cut1}, {cut2}) for n={n}")
+    lo, hi = (np.concatenate((c, c), axis=None)[:, None] for c in (cut1, cut2))
     pos = np.arange(n)
-    keep = np.broadcast_to((pos >= cut1[..., None]) & (pos < cut2[..., None]), p1.shape)
-
-    def make_child(keeper, donor):
-        # genes of the kept segment, flagged by value
-        in_segment = np.zeros(keeper.shape, dtype=bool)
-        np.put_along_axis(in_segment, keeper, keep, axis=-1)
-        child = keeper.astype(np.int64)
-        # row-major boolean assignment fills each row's free positions in order
-        child[~keep] = donor[~np.take_along_axis(in_segment, donor, axis=-1)]
-        return child
-
-    return make_child(p1, p2), make_child(p2, p1)
+    keep = (pos >= lo) & (pos < hi)
+    # the keeper rows, filled in place into the children
+    child = np.concatenate((p1, p2)).reshape(-1, n).astype(np.int64, copy=False)
+    donor = np.concatenate((p2, p1)).reshape(-1, n)
+    row = np.arange(0, child.size, n)[:, None]
+    # genes of each kept segment, flagged by value in that row's n flags
+    in_segment = np.zeros(child.size, dtype=bool)
+    in_segment[child + row] = keep
+    # row-major boolean assignment fills each row's free positions in order
+    child[~keep] = donor[~in_segment[donor + row]]
+    return tuple(child.reshape((2,) + p1.shape))
 
 
 def _swap_positions(n: int, u_a, u_b) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +298,8 @@ def evolve_step(
     children are cost-evaluated in one batch; a mutated verbatim copy
     reuses its parent's cost through an O(n) swap delta instead.  If
     _counter is given, its first element is incremented by the number of
-    cost evaluations performed (full or delta).
+    cost evaluations performed (full or delta), and its second, if it has
+    one, by the number of full evaluations.
     """
     pop_size = cfg.population_size
     if len(perms) != pop_size or len(costs) != pop_size:
@@ -308,14 +321,14 @@ def evolve_step(
     dirty = np.repeat(crossed, 2)  # cost unknown until evaluated
     if crossed.any():
         cuts = np.sort((blocks[crossed, 3:5] * (n + 1)).astype(np.int64), axis=1)
-        pa, pb = parents[crossed].T
-        c1, c2 = order_crossover_two_point(perms[pa], perms[pb], cuts[:, 0], cuts[:, 1])
-        children[0::2][crossed] = c1
-        children[1::2][crossed] = c2
+        pairs = children.reshape(n_pairs, 2, n)  # a view: pair i is rows 2i and 2i+1
+        # one statement, so the parents and children it gathers die before _costs
+        pairs[crossed] = np.stack(order_crossover_two_point(
+            *pairs[crossed].transpose(1, 0, 2), *cuts.T), axis=1)
 
     # mutations before evaluation, so crossover children need one batch;
     # copies are swap-delta'd against their parent's cost first
-    evals = 0
+    delta = full = 0
     coin, u_a, u_b = blocks[:, 5:].reshape(-1, 3).T  # one row per child
     mutated = np.flatnonzero(coin < cfg.mutation_rate)
     if n >= 2 and mutated.size:
@@ -324,16 +337,18 @@ def evolve_step(
         copied = mutated[copies]
         deltas = _swap_deltas(inst, children[copied], a[copies], b[copies])
         child_costs[copied] = _checked(child_costs[copied] + deltas)
-        evals += copied.size
+        delta = copied.size
         children[mutated, a], children[mutated, b] = children[mutated, b], children[mutated, a]
 
     if crossed.any():
         child_costs[dirty] = _costs(inst, children[dirty])
-        evals += int(dirty.sum())
+        full = int(dirty.sum())
 
     assert (np.sort(children, axis=1) == np.arange(n)).all()
     if _counter is not None:
-        _counter[0] += evals
+        _counter[0] += delta + full
+        if len(_counter) > 1:
+            _counter[1] += full
     return (
         np.concatenate([perms[elite_idx], children[:n_offspring]]),
         np.concatenate([costs[elite_idx], child_costs[:n_offspring]]),
@@ -345,7 +360,7 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
     perms, costs = init_population(inst, cfg.population_size, rng)
-    counter = [cfg.population_size]
+    counter = [cfg.population_size] * 2  # [all evaluations, full evaluations]
 
     i = int(np.argmin(costs))
     best_perm, best_cost = perms[i], int(costs[i])
@@ -370,7 +385,8 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     return GaResult(
         best=Chromosome(best_perm.copy(), best_cost),
         generations_run=generations,
-        evaluations=counter[0],
+        full_evaluations=counter[1],
+        delta_evaluations=counter[0] - counter[1],
         wall_time_s=time.perf_counter() - start,
         history=history,
     )

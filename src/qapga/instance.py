@@ -7,10 +7,10 @@ of p is the full double sum over ordered facility pairs, diagonal included:
     cost(p) = sum_{i,k} flow[i][k] * dist[p[i]][p[k]]
 
 Matrices are held as int64, each with a C-contiguous transpose (flow_t,
-dist_t), so that a column of either matrix is read as a contiguous row.  Each
-kernel is one numpy expression over an exact dtype: int64 within the
-instance's int64 budget, Python integers beyond it.  Costs that do not fit a
-signed 64-bit range raise CostOverflowError instead of wrapping.
+dist_t), so that every kernel reads rows: with q = p^-1, the cost of p is
+trace(dist[p] @ flow_t[q]).  Each kernel runs over an exact dtype: int64
+within the instance's int64 budget, Python integers beyond it.  Costs that do
+not fit a signed 64-bit range raise CostOverflowError instead of wrapping.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INT64_MAX = 2**63 - 1
-# most cost cells that _costs gathers at once (the output of each of its two
-# takes); bounds peak memory whatever the batch a caller passes.  1 << 14 keeps
-# each int64 temporary within 128 KB: larger chunks ran at half speed at n=30
-# (BENCH_7.json) and made the n=9 oracle slower (BENCH_8.json)
+# most cells in each of the two row gathers of _costs, so peak memory is bounded
+# whatever the batch a caller passes.  1 << 14 keeps each int64 temporary near
+# 128 KB: larger chunks ran at half speed at n=30 (BENCH_7.json).  The flow_t
+# gather pads its rows to odd length (one cell more when even), since the
+# einsum reads it down its columns: with rows of 128 cells (n=128) or 64 (n=256)
+# _costs ran 1.2x slower (BENCH_13.json)
 _CHUNK_CELLS = 1 << 14
 
 
@@ -234,40 +236,36 @@ def _checked(costs: np.ndarray) -> np.ndarray:
 def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
 
-    Cell (i, k) of row q is dist[q[i], q[k]], weighted by flow[i, k].  The
-    cells are read with two 1-D takes, never through an index of n * n cells,
-    at most _CHUNK_CELLS cells at a time:
-      - while two or more whole rows of perms fit, r of them at once: take the
-        columns q of dist for all r rows, so row l * r + j of by_col holds
-        dist[l, q_j]; then take row q_j[i] * r + j of by_col for each cell
-        row (j, i);
-      - otherwise one permutation p at a time, in blocks of facility rows (one
-        block while n * n fits): the rows p[block] of dist, then their
-        columns p.  At one permutation per chunk this ran faster than the
-        first form (BENCH_8.json).
-    Arithmetic is in the exact dtype of _exact; a cost beyond int64 raises
-    CostOverflowError.
+    With q the inverse of a row p, cost(p) = sum_{i,l} dist[p[i], l] *
+    flow[i, q[l]], the trace of dist[p] @ flow_t[q]: both factors are row
+    gathers, and no column is gathered.  One scatter inverts every row.  Rows
+    go r at a time (r * n * n <= _CHUNK_CELLS, at least 1), in blocks of
+    facilities i (one block while n * n fits): per block, one take of the rows
+    p[block] of dist, one take of the rows q of those facilities' columns of
+    flow_t, and one einsum adds the trace of their product to each row's
+    cost.  Arithmetic is in the exact dtype of _exact; a cost beyond int64
+    raises CostOverflowError.
     """
     flow, dist = _exact(inst)
+    flow_t = inst.flow_t if inst.fits_int64 else flow.T
     n = inst.n
-    out = np.empty(len(perms), dtype=flow.dtype)
-    rows = _CHUNK_CELLS // (n * n)
-    if rows > 1:
-        weights = flow.ravel()
-        for s in range(0, len(perms), rows):
-            q = perms[s : s + rows]
-            r = len(q)
-            by_col = np.take(dist, q, axis=1).reshape(n * r, n)
-            cells = np.take(by_col, q * r + np.arange(r)[:, None], axis=0)
-            out[s : s + r] = np.einsum("pk,k->p", cells.reshape(r, n * n), weights)
-        return _checked(out)
-    step = _CHUNK_CELLS // n  # facility rows per block
-    blocks = [(slice(f, f + step), flow[f : f + step]) for f in range(0, n, step)]
-    for j, p in enumerate(perms):
-        out[j] = sum(
-            np.einsum("ik,ik->", np.take(np.take(dist, p[block], axis=0), p, axis=1), weights)
-            for block, weights in blocks
-        )
+    inv = np.empty(perms.shape, dtype=np.intp)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    out = np.zeros(len(perms), dtype=flow.dtype)
+    rows = max(1, _CHUNK_CELLS // (n * n))
+    step = _CHUNK_CELLS // n  # facilities per block
+    blocks = []  # facilities f..f+w-1, and their columns of flow_t in rows of odd length
+    for f in range(0, n, step):
+        w = min(step, n - f)
+        cols = np.zeros((n, w | 1), dtype=flow.dtype)
+        cols[:, :w] = flow_t[:, f : f + w]
+        blocks.append((slice(f, f + w), cols))
+    for s in range(0, len(perms), rows):
+        p, q = perms[s : s + rows], inv[s : s + rows]
+        for block, cols in blocks:  # one expression, so no gather outlives its einsum
+            out[s : s + rows] += np.einsum(
+                "ril,rli->r", np.take(dist, p[:, block], axis=0),
+                np.take(cols, q, axis=0)[..., : block.stop - block.start])
     return _checked(out)
 
 

@@ -88,6 +88,22 @@ class TestCrossover:
         with pytest.raises(ValueError, match="cut"):
             order_crossover_two_point(p, p, 0, 5)
 
+    def test_rejects_one_cut_pair_for_stacked_pairs(self):
+        p = np.stack([np.arange(4), np.arange(4)[::-1]])
+        with pytest.raises(ValueError, match="one cut pair per pair"):
+            order_crossover_two_point(p, p[::-1], 1, 3)
+
+    def test_stacked_pairs_fill_from_strided_views(self):
+        # evolve_step passes the rows of a (pairs, 2, n) gather, as strided views
+        rng = np.random.default_rng(13)
+        n, m = 7, 25
+        pairs = np.stack([[rng.permutation(n), rng.permutation(n)] for _ in range(m)])
+        cuts = np.sort(rng.integers(0, n + 1, (m, 2)), axis=1)
+        c1, c2 = order_crossover_two_point(pairs[:, 0], pairs[:, 1], *cuts.T)
+        for r in range(m):
+            e1, e2 = order_crossover_two_point(pairs[r, 0].copy(), pairs[r, 1].copy(), *cuts[r])
+            assert c1[r].tolist() == e1.tolist() and c2[r].tolist() == e2.tolist()
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             order_crossover_two_point(np.arange(4), np.arange(5), 0, 2)
@@ -489,6 +505,31 @@ class TestEvolveStepEvaluations:
         assert calls == [20] + [20] * full_calls  # init_population, then the children
         assert counter == [20]  # 10 pairs: 20 children priced, full or by delta
         assert costs.tolist() == [evaluate_cost(inst, p) for p in perms]
+
+
+class TestEvaluationSplit:
+    def test_swap_only_run_counts_the_initial_population_as_its_full_evaluations(self):
+        inst = random_instance(8, 10, rng=np.random.default_rng(37))
+        cfg = GaConfig(population_size=20, crossover_rate=0.0, mutation_rate=1.0,
+                       max_generations=15, rng_seed=5)
+        res = run(inst, cfg)
+        assert res.full_evaluations == cfg.population_size
+        # every child of the ceil(19 / 2) = 10 pairs is a mutated verbatim
+        # copy, priced by one delta (the odd one out is priced, then dropped)
+        assert res.delta_evaluations == 15 * 20
+        assert res.evaluations == res.full_evaluations + res.delta_evaluations
+        d = res.to_dict(include_timing=False)
+        assert (d["full_evaluations"], d["delta_evaluations"], d["evaluations"]) == (
+            res.full_evaluations, res.delta_evaluations, res.evaluations)
+
+    def test_crossing_run_counts_every_crossed_child_as_full(self):
+        # rate 1: every pair crosses, so each generation fully prices all
+        # 2 * ceil(19 / 2) = 20 children, and mutation prices none by delta
+        inst = random_instance(8, 10, rng=np.random.default_rng(38))
+        cfg = GaConfig(population_size=20, crossover_rate=1.0, mutation_rate=1.0,
+                       max_generations=7, rng_seed=6)
+        res = run(inst, cfg)
+        assert (res.full_evaluations, res.delta_evaluations) == (20 + 7 * 20, 0)
 
 
 class TestSelectionWeightsFloatEdge:

@@ -453,6 +453,60 @@ class TestTakeGather:
             _costs(inst, perms)
 
 
+class TestTraceKernel:
+    """_costs as trace(dist[p] @ flow_t[p^-1]) against the plain double sum."""
+
+    @staticmethod
+    def case(n, m, seed, over_budget=False):
+        rng = np.random.default_rng(seed)
+        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
+        if over_budget:  # worst case beyond int64, every actual cost within it
+            flow[0, 0] = 2**40
+            dist[0, -1] = 2**30
+        inst = Instance("trace", n, flow, dist)
+        assert inst.fits_int64 is not over_budget
+        return inst, rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+
+    @staticmethod
+    def reference(inst, perms):
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        return [double_sum_cost(flow, dist, p) for p in perms.tolist()]
+
+    @pytest.mark.parametrize("n, m, chunk_rows, blocks", [
+        (90, 5, 2, 1),  # the last size with two permutations per chunk
+        (91, 3, 1, 1),  # the first with one
+        (128, 2, 1, 1),  # the last size in one facility block
+        (256, 2, 1, 4),  # a power of two: blocks of 64 facilities, rows of 65 flow_t cells
+    ])
+    def test_chunk_and_block_edges(self, n, m, chunk_rows, blocks):
+        assert max(1, _CHUNK_CELLS // (n * n)) == chunk_rows
+        assert -(-n // (_CHUNK_CELLS // n)) == blocks
+        inst, perms = self.case(n, m, seed=n)
+        got = _costs(inst, perms)
+        assert got.dtype == np.int64 and got.tolist() == self.reference(inst, perms)
+
+    def test_over_budget_in_two_blocks(self):
+        # n=129: object-dtype arithmetic, blocks of 127 and 2 facilities
+        inst, perms = self.case(129, 2, seed=129, over_budget=True)
+        got = _costs(inst, perms)
+        assert got.dtype == np.int64 and got.tolist() == self.reference(inst, perms)
+
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_strided_views_of_a_population(self, n):
+        inst, pop = self.case(n, 9, seed=n)
+        before = pop.copy()
+        for view in (pop[::2], pop[::-3], np.asfortranarray(pop), pop.reshape(3, 3, n)[:, 1]):
+            assert not view.flags.c_contiguous
+            assert _costs(inst, view).tolist() == self.reference(inst, view)
+        assert np.array_equal(pop, before)
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 91, 129])
+    def test_one_permutation(self, n):
+        inst, perms = self.case(n, 1, seed=n)
+        assert _costs(inst, perms).tolist() == self.reference(inst, perms)
+        assert evaluate_cost(inst, perms[0]) == self.reference(inst, perms)[0]
+
+
 class TestSwapDelta:
     def test_zero_flow(self):
         inst = Instance("z", 4, np.zeros((4, 4), np.int64),
