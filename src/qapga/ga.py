@@ -297,9 +297,8 @@ def evolve_step(
     phase is one batched call over all pairs or children.  Crossover
     children are cost-evaluated in one batch; a mutated verbatim copy
     reuses its parent's cost through an O(n) swap delta instead.  If
-    _counter is given, its first element is incremented by the number of
-    cost evaluations performed (full or delta), and its second, if it has
-    one, by the number of full evaluations.
+    _counter is given, its two elements are incremented by the number of
+    full and of delta cost evaluations performed.
     """
     pop_size = cfg.population_size
     if len(perms) != pop_size or len(costs) != pop_size:
@@ -346,9 +345,8 @@ def evolve_step(
 
     assert (np.sort(children, axis=1) == np.arange(n)).all()
     if _counter is not None:
-        _counter[0] += delta + full
-        if len(_counter) > 1:
-            _counter[1] += full
+        _counter[0] += full
+        _counter[1] += delta
     return (
         np.concatenate([perms[elite_idx], children[:n_offspring]]),
         np.concatenate([costs[elite_idx], child_costs[:n_offspring]]),
@@ -360,7 +358,7 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
     perms, costs = init_population(inst, cfg.population_size, rng)
-    counter = [cfg.population_size] * 2  # [all evaluations, full evaluations]
+    counter = [cfg.population_size, 0]  # [full evaluations, delta evaluations]
 
     i = int(np.argmin(costs))
     best_perm, best_cost = perms[i], int(costs[i])
@@ -385,8 +383,8 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     return GaResult(
         best=Chromosome(best_perm.copy(), best_cost),
         generations_run=generations,
-        full_evaluations=counter[1],
-        delta_evaluations=counter[0] - counter[1],
+        full_evaluations=counter[0],
+        delta_evaluations=counter[1],
         wall_time_s=time.perf_counter() - start,
         history=history,
     )

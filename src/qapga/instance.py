@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 INT64_MAX = 2**63 - 1
-# most cells in each of the two row gathers of _costs, so peak memory is bounded
-# whatever the batch a caller passes.  1 << 14 keeps each int64 temporary near
-# 128 KB: larger chunks ran at half speed at n=30 (BENCH_7.json).  The flow_t
-# gather pads its rows to odd length (one cell more when even), since the
-# einsum reads it down its columns: with rows of 128 cells (n=128) or 64 (n=256)
-# _costs ran 1.2x slower (BENCH_13.json)
+# most cells in each of the two row gathers of _costs, and in each block of
+# rows it inverts, so its temporaries stay within a few times 128 KB whatever
+# the batch; beside them it holds one copy of flow_t, padded as below, for the
+# call.  Larger chunks ran at half speed at n=30 (BENCH_7.json).  The padding
+# makes the flow_t gather's rows odd in length, as the einsum reads it down its
+# columns: with rows of 128 cells (n=128) or 64 (n=256) it ran 1.2x slower
 _CHUNK_CELLS = 1 << 14
 
 
@@ -238,34 +238,36 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
 
     With q the inverse of a row p, cost(p) = sum_{i,l} dist[p[i], l] *
     flow[i, q[l]], the trace of dist[p] @ flow_t[q]: both factors are row
-    gathers, and no column is gathered.  One scatter inverts every row.  Rows
-    go r at a time (r * n * n <= _CHUNK_CELLS, at least 1), in blocks of
-    facilities i (one block while n * n fits): per block, one take of the rows
-    p[block] of dist, one take of the rows q of those facilities' columns of
-    flow_t, and one einsum adds the trace of their product to each row's
-    cost.  Arithmetic is in the exact dtype of _exact; a cost beyond int64
-    raises CostOverflowError.
+    gathers, and no column is gathered.  One scatter inverts each span of
+    _CHUNK_CELLS // n rows.  Within a span rows go r at a time (r * n * n <=
+    _CHUNK_CELLS, at least 1), in blocks of _CHUNK_CELLS // n facilities i:
+    per block, one take of the rows p[block] of dist, one take of the rows q
+    of those facilities' columns of flow_t, and one einsum adds the trace of
+    their product to each row's cost.  Arithmetic is in the exact dtype of
+    _exact; a cost beyond int64 raises CostOverflowError.
     """
     flow, dist = _exact(inst)
     flow_t = inst.flow_t if inst.fits_int64 else flow.T
     n = inst.n
-    inv = np.empty(perms.shape, dtype=np.intp)
-    inv[np.arange(len(perms))[:, None], perms] = np.arange(n)
     out = np.zeros(len(perms), dtype=flow.dtype)
     rows = max(1, _CHUNK_CELLS // (n * n))
-    step = _CHUNK_CELLS // n  # facilities per block
+    step = max(1, _CHUNK_CELLS // n)  # facilities per block, and rows per span
     blocks = []  # facilities f..f+w-1, and their columns of flow_t in rows of odd length
     for f in range(0, n, step):
         w = min(step, n - f)
         cols = np.zeros((n, w | 1), dtype=flow.dtype)
         cols[:, :w] = flow_t[:, f : f + w]
         blocks.append((slice(f, f + w), cols))
-    for s in range(0, len(perms), rows):
-        p, q = perms[s : s + rows], inv[s : s + rows]
-        for block, cols in blocks:  # one expression, so no gather outlives its einsum
-            out[s : s + rows] += np.einsum(
-                "ril,rli->r", np.take(dist, p[:, block], axis=0),
-                np.take(cols, q, axis=0)[..., : block.stop - block.start])
+    for t in range(0, len(perms), step):
+        span = perms[t : t + step]
+        inv = np.empty(span.shape, dtype=np.intp)
+        inv[np.arange(len(span))[:, None], span] = np.arange(n)
+        for s in range(0, len(span), rows):
+            p, q = span[s : s + rows], inv[s : s + rows]
+            for block, cols in blocks:  # one expression, so no gather outlives its einsum
+                out[t + s : t + s + len(p)] += np.einsum(
+                    "ril,rli->r", np.take(dist, p[:, block], axis=0),
+                    np.take(cols, q, axis=0)[..., : block.stop - block.start])
     return _checked(out)
 
 

@@ -500,10 +500,11 @@ class TestEvolveStepEvaluations:
         inst = random_instance(8, 10, rng=rng)
         cfg = GaConfig(population_size=20, crossover_rate=cx_rate, mutation_rate=1.0)
         perms, costs = init_population(inst, 20, rng)
-        counter = [0]
+        counter = [0, 0]
         perms, costs = evolve_step(inst, perms, costs, cfg, rng, counter)
         assert calls == [20] + [20] * full_calls  # init_population, then the children
-        assert counter == [20]  # 10 pairs: 20 children priced, full or by delta
+        # 10 pairs: 20 children priced, all in full or all by delta
+        assert counter == [20 * full_calls, 20 - 20 * full_calls]
         assert costs.tolist() == [evaluate_cost(inst, p) for p in perms]
 
 

@@ -348,7 +348,7 @@ class TestCostChunks:
         for m in sorted({rows - 1, rows, rows + 1, 2 * rows + 1}):
             yield rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
 
-    @pytest.mark.parametrize("n", [1, 2, 9, 12, 100, 129, 200])
+    @pytest.mark.parametrize("n", [1, 2, 9, 12, 90, 91, 100, 128, 129, 200, 256])
     @pytest.mark.parametrize("fits", [True, False])
     def test_exact_at_chunk_boundaries(self, n, fits):
         rng = np.random.default_rng(n)
@@ -433,6 +433,20 @@ class TestTakeGather:
         m = data.draw(st.integers(0, 3 * rows), label="m")
         self.assert_exact(*self.random_case(n, m, fits, seed))
 
+    @pytest.mark.parametrize("n", [12, 100])
+    def test_strided_views_of_a_population(self, n):
+        inst, pop = self.random_case(n, 9, True, seed=n)
+        before = pop.copy()
+        for view in (pop[::2], pop[::-3], np.asfortranarray(pop), pop.reshape(3, 3, n)[:, 1]):
+            assert not view.flags.c_contiguous
+            self.assert_exact(inst, view)
+        assert np.array_equal(pop, before)
+
+    @pytest.mark.parametrize("n", [9, 40])
+    def test_rows_past_the_first_inverted_span(self, n):
+        # _costs inverts the rows _CHUNK_CELLS // n at a time
+        self.assert_exact(*self.random_case(n, _CHUNK_CELLS // n + 2, True, seed=n))
+
     def test_overflow_in_a_later_chunk_raises(self):
         # n=200: facility blocks of rows 0-80, 81-161 and 162-199.  The cost is
         # >= 2**70 exactly when p[190] = 0 and p[191] = 1, which holds only in
@@ -451,60 +465,6 @@ class TestTakeGather:
         assert double_sum_cost(flow, dist, bad.tolist()) > 2**63 - 1
         with pytest.raises(CostOverflowError):
             _costs(inst, perms)
-
-
-class TestTraceKernel:
-    """_costs as trace(dist[p] @ flow_t[p^-1]) against the plain double sum."""
-
-    @staticmethod
-    def case(n, m, seed, over_budget=False):
-        rng = np.random.default_rng(seed)
-        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
-        if over_budget:  # worst case beyond int64, every actual cost within it
-            flow[0, 0] = 2**40
-            dist[0, -1] = 2**30
-        inst = Instance("trace", n, flow, dist)
-        assert inst.fits_int64 is not over_budget
-        return inst, rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-
-    @staticmethod
-    def reference(inst, perms):
-        flow, dist = inst.flow.tolist(), inst.dist.tolist()
-        return [double_sum_cost(flow, dist, p) for p in perms.tolist()]
-
-    @pytest.mark.parametrize("n, m, chunk_rows, blocks", [
-        (90, 5, 2, 1),  # the last size with two permutations per chunk
-        (91, 3, 1, 1),  # the first with one
-        (128, 2, 1, 1),  # the last size in one facility block
-        (256, 2, 1, 4),  # a power of two: blocks of 64 facilities, rows of 65 flow_t cells
-    ])
-    def test_chunk_and_block_edges(self, n, m, chunk_rows, blocks):
-        assert max(1, _CHUNK_CELLS // (n * n)) == chunk_rows
-        assert -(-n // (_CHUNK_CELLS // n)) == blocks
-        inst, perms = self.case(n, m, seed=n)
-        got = _costs(inst, perms)
-        assert got.dtype == np.int64 and got.tolist() == self.reference(inst, perms)
-
-    def test_over_budget_in_two_blocks(self):
-        # n=129: object-dtype arithmetic, blocks of 127 and 2 facilities
-        inst, perms = self.case(129, 2, seed=129, over_budget=True)
-        got = _costs(inst, perms)
-        assert got.dtype == np.int64 and got.tolist() == self.reference(inst, perms)
-
-    @pytest.mark.parametrize("n", [12, 100])
-    def test_strided_views_of_a_population(self, n):
-        inst, pop = self.case(n, 9, seed=n)
-        before = pop.copy()
-        for view in (pop[::2], pop[::-3], np.asfortranarray(pop), pop.reshape(3, 3, n)[:, 1]):
-            assert not view.flags.c_contiguous
-            assert _costs(inst, view).tolist() == self.reference(inst, view)
-        assert np.array_equal(pop, before)
-
-    @pytest.mark.parametrize("n", [1, 2, 12, 91, 129])
-    def test_one_permutation(self, n):
-        inst, perms = self.case(n, 1, seed=n)
-        assert _costs(inst, perms).tolist() == self.reference(inst, perms)
-        assert evaluate_cost(inst, perms[0]) == self.reference(inst, perms)[0]
 
 
 class TestSwapDelta:
