@@ -79,12 +79,6 @@ def compute_gap(best_found: int, best_known: int) -> float:
     return round((best_found - best_known) / best_known, 6)
 
 
-def _run_one(args):
-    inst, cfg = args
-    result = run(inst, cfg)
-    return result.best.cost, result.generations_run, result.wall_time_s
-
-
 def run_suite(
     instances: list[Instance],
     baselines: list[BaselineRecord],
@@ -114,17 +108,19 @@ def run_suite(
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, tasks))
+            results = list(pool.map(run, *zip(*tasks)))
     else:
-        outcomes = [_run_one(t) for t in tasks]
+        results = [run(inst, seed_cfg) for inst, seed_cfg in tasks]
 
     rows = []
     for idx, inst in enumerate(instances):
-        best, generations, times = zip(*outcomes[idx * len(seeds) : (idx + 1) * len(seeds)])
+        per_seed = results[idx * len(seeds) : (idx + 1) * len(seeds)]
+        best = min(r.best.cost for r in per_seed)
+        times = [r.wall_time_s for r in per_seed]
         best_known = by_name[inst.name.lower()].best_known
         rows.append(
-            BenchRow(inst.name, len(seeds), min(best), best_known,
-                     compute_gap(min(best), best_known), sum(generations),
+            BenchRow(inst.name, len(seeds), best, best_known, compute_gap(best, best_known),
+                     sum(r.generations_run for r in per_seed),
                      round(sum(times), 3), [round(t, 3) for t in times])
         )
     return rows

@@ -39,20 +39,20 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import Instance, _checked, _costs, _swap_deltas, read_number
+from .instance import Instance, _checked, _costs, _Record, _swap_deltas, read_number
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Chromosome:
-    """A permutation with its cached cost (always consistent)."""
+@dataclass(frozen=True, eq=False)
+class Chromosome(_Record):
+    """A permutation with its cached cost; a _Record, so perm is a read-only copy."""
 
     perm: np.ndarray
     cost: int
 
     def __post_init__(self):
-        self.perm.setflags(write=False)
+        self._own("perm", self.perm)
 
 
 def _flag(default, flag: str, text: str):
@@ -262,8 +262,9 @@ def selection_weights(costs) -> np.ndarray:
 
 
 def _pick(cumweights: np.ndarray, u):
-    """Roulette index (or indices) of the uniform(s) u on a cumulative wheel."""
-    return np.minimum(np.searchsorted(cumweights, u, side="right"), len(cumweights) - 1)
+    """Roulette index (or indices) of the uniform(s) u, spun over the wheel's total."""
+    spin = np.searchsorted(cumweights, u * cumweights[-1], side="right")
+    return np.minimum(spin, len(cumweights) - 1)
 
 
 def roulette_select(
@@ -280,7 +281,7 @@ def roulette_select(
     if not (weights.size and np.isfinite(weights).all() and (weights >= 0).all() and weights.any()):
         raise ValueError("weights must be finite and non-negative, and not all zero")
     cum = np.cumsum(weights / weights.max())  # scaled, so the total cannot overflow
-    return population[_pick(cum, rng.random() * cum[-1])]
+    return population[_pick(cum, rng.random())]
 
 
 def evolve_step(
@@ -381,7 +382,7 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
         history.append(best_cost)
 
     return GaResult(
-        best=Chromosome(best_perm.copy(), best_cost),
+        best=Chromosome(best_perm, best_cost),
         generations_run=generations,
         full_evaluations=counter[0],
         delta_evaluations=counter[1],

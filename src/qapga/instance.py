@@ -16,7 +16,8 @@ not fit a signed 64-bit range raise CostOverflowError instead of wrapping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -56,17 +57,41 @@ def _as_int64(label: str, m) -> np.ndarray:
     return m.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class Instance:
-    """A QAP instance: size n plus flow and distance matrices.
+class _Record:
+    """Base of the frozen dataclasses that hold arrays: Instance, OracleResult and
+    Chromosome.  A record keeps read-only copies of its arrays (_own), compares its
+    constructor fields with np.array_equal (derived fields are ignored), is
+    unhashable, and copies and pickles through its constructor."""
 
-    The matrices are stored as read-only int64, and flow_t and dist_t hold
-    their read-only, C-contiguous transposes for the swap deltas.  fits_int64
-    is true when the worst-case cost n^2 * max(flow) * max(dist) fits in
-    int64, so that every cost and swap delta can be computed in int64 without
-    overflow; otherwise the same kernels run in Python integers (see _exact).
-    Instances compare by value (__eq__ below), are unhashable, and pickle as
-    their constructor arguments.
+    __hash__ = None
+
+    def _own(self, name: str, a) -> np.ndarray:
+        """Set field name to a read-only, C-contiguous copy of a, and return it."""
+        a = np.array(a, order="C")
+        a.setflags(write=False)
+        object.__setattr__(self, name, a)
+        return a
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.init)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+@dataclass(frozen=True, eq=False)
+class Instance(_Record):
+    """A QAP instance: integer size n >= 1 plus flow and distance matrices.
+
+    The matrices are stored as read-only int64 copies, and flow_t and dist_t
+    hold their read-only, C-contiguous transposes for the swap deltas.
+    fits_int64 is true when the worst-case cost n^2 * max(flow) * max(dist)
+    fits in int64, so that every cost and swap delta can be computed in int64
+    without overflow; otherwise the same kernels run in Python integers (see
+    _exact).  As a _Record, an instance compares by name, n and matrices.
     """
 
     name: str
@@ -78,35 +103,17 @@ class Instance:
     dist_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        n = int(self.n)
+        object.__setattr__(self, "n", n)
         for label in ("flow", "dist"):
             m = _as_int64(f"{label} matrix", getattr(self, label))
-            if m.shape != (self.n, self.n):
-                raise ValueError(
-                    f"{label} matrix must be {self.n}x{self.n}, got {m.shape}"
-                )
-            m.setflags(write=False)
-            object.__setattr__(self, label, m)
-            m_t = np.ascontiguousarray(m.T)
-            m_t.setflags(write=False)
-            object.__setattr__(self, f"{label}_t", m_t)
-        worst = self.n * self.n * int(self.flow.max()) * int(self.dist.max())
+            if m.shape != (n, n):
+                raise ValueError(f"{label} matrix must be {n}x{n}, got {m.shape}")
+            self._own(f"{label}_t", self._own(label, m).T)
+        worst = n * n * int(self.flow.max()) * int(self.dist.max())
         object.__setattr__(self, "fits_int64", worst <= INT64_MAX)
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.n == other.n
-            and np.array_equal(self.flow, other.flow)
-            and np.array_equal(self.dist, other.dist)
-        )
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy's arrays are read-only again
-        return Instance, (self.name, self.n, self.flow, self.dist)
 
 
 def check_permutation(p: np.ndarray, n: int) -> np.ndarray:

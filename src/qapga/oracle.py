@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .instance import Instance, _checked, _exact
+from .instance import Instance, _checked, _exact, _Record
 
 DEFAULT_LIMIT = 10
 # positions that each block fills from one table of all their orderings; 5
@@ -34,23 +34,15 @@ class OracleLimitError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class OracleResult:
-    """Result of exhaustive_optimum; compares by value and is unhashable."""
+class OracleResult(_Record):
+    """Result of exhaustive_optimum; a _Record, so argmin is a read-only copy."""
 
     optimum: int
     argmin: np.ndarray  # lexicographically smallest optimal permutation
     explored: int  # always n!
 
-    __hash__ = None
-
-    def __eq__(self, other):
-        if not isinstance(other, OracleResult):
-            return NotImplemented
-        return (
-            self.optimum == other.optimum
-            and self.explored == other.explored
-            and np.array_equal(self.argmin, other.argmin)
-        )
+    def __post_init__(self):
+        self._own("argmin", self.argmin)
 
 
 def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResult:
