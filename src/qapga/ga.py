@@ -39,7 +39,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import Instance, _checked, _costs, _Record, _swap_deltas, read_number
+from .instance import Instance, _as_int64, _checked, _costs, _Record, _swap_deltas, read_number
 
 log = logging.getLogger(__name__)
 
@@ -239,20 +239,20 @@ def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def selection_weights(costs) -> np.ndarray:
     """Roulette weights for minimization: lower cost, higher weight.
 
-    Raw weight is (max + min - cost); when the cheapest cost is 0 the worst
-    raw weight degenerates to 0, so 1 is added across the board to keep every
-    weight positive.  Equal costs fall back to uniform weights.  The raw
-    weights are formed in float64 from (max - cost), which cannot overflow.
-    A lower cost gets a strictly higher weight while every cost is below
-    2^52: the raw weights are then exact in float64 and stay distinct when
-    divided by their sum.  Past that, nearby costs can round to one weight:
-    in [0, 1, 2**62 + 5], costs 0 and 1 get equal weights.
+    costs must be a non-empty 1-D sequence of non-negative integers within
+    int64, else ValueError.  Raw weight is (max + min - cost); when the
+    cheapest cost is 0 the worst raw weight degenerates to 0, so 1 is added
+    across the board to keep every weight positive.  Equal costs fall back to
+    uniform weights.  The raw weights are formed in float64 from (max - cost),
+    which cannot overflow.  A lower cost gets a strictly higher weight while
+    every cost is below 2^52: the raw weights are then exact in float64 and
+    stay distinct when divided by their sum.  Past that, nearby costs can
+    round to one weight: in [0, 1, 2**62 + 5], costs 0 and 1 get equal
+    weights.
     """
-    costs = np.asarray(costs, dtype=np.int64)
-    if costs.size == 0:
-        raise ValueError("empty cost list")
-    if (costs < 0).any():
-        raise ValueError("costs must be non-negative")
+    costs = _as_int64("costs", costs)
+    if costs.ndim != 1 or costs.size == 0:
+        raise ValueError(f"costs must be a non-empty 1-D sequence, got shape {costs.shape}")
     lo = int(costs.min())
     hi = int(costs.max())
     if lo == hi:

@@ -8,9 +8,9 @@ of p is the full double sum over ordered facility pairs, diagonal included:
 
 Matrices are held as int64, each with a C-contiguous transpose (flow_t,
 dist_t), so that every kernel reads rows: with q = p^-1, the cost of p is
-trace(dist[p] @ flow_t[q]).  Each kernel runs over an exact dtype: int64
-within the instance's int64 budget, Python integers beyond it.  Costs that do
-not fit a signed 64-bit range raise CostOverflowError instead of wrapping.
+trace(dist[p] @ flow_t[q]).  Each kernel reads Instance._exact: the int64
+matrices within the int64 budget, Python-integer copies beyond it.  Costs
+that do not fit a signed 64-bit range raise CostOverflowError, never wrap.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class CostOverflowError(QapError):
 
 
 def _as_int64(label: str, m) -> np.ndarray:
-    """m as an int64 array; non-integral, negative or too large entries are errors."""
+    """m as int64; non-integral, negative or too large (uint, float) entries are errors."""
     m = np.asarray(m)
     if m.dtype.kind not in "biuf":
         raise ValueError(f"{label} must hold integers, got dtype {m.dtype}")
@@ -52,7 +52,7 @@ def _as_int64(label: str, m) -> np.ndarray:
         raise ValueError(f"{label} has non-integral entries")
     if (m < 0).any():
         raise ValueError(f"{label} has negative entries")
-    if m.size and int(m.max()) > INT64_MAX:
+    if m.dtype.kind in "uf" and m.size and int(m.max()) > INT64_MAX:
         raise ValueError(f"{label} has entries beyond signed 64-bit range")
     return m.astype(np.int64, copy=False)
 
@@ -90,8 +90,9 @@ class Instance(_Record):
     hold their read-only, C-contiguous transposes for the swap deltas.
     fits_int64 is true when the worst-case cost n^2 * max(flow) * max(dist)
     fits in int64, so that every cost and swap delta can be computed in int64
-    without overflow; otherwise the same kernels run in Python integers (see
-    _exact).  As a _Record, an instance compares by name, n and matrices.
+    without overflow.  _exact holds (flow, dist, flow_t, dist_t) as the kernels
+    read them: these arrays within budget, else read-only Python-integer
+    copies made once.  As a _Record, it compares by name, n and matrices.
     """
 
     name: str
@@ -101,6 +102,7 @@ class Instance(_Record):
     fits_int64: bool = field(init=False, repr=False)
     flow_t: np.ndarray = field(init=False, repr=False)
     dist_t: np.ndarray = field(init=False, repr=False)
+    _exact: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
@@ -112,8 +114,14 @@ class Instance(_Record):
             if m.shape != (n, n):
                 raise ValueError(f"{label} matrix must be {n}x{n}, got {m.shape}")
             self._own(f"{label}_t", self._own(label, m).T)
-        worst = n * n * int(self.flow.max()) * int(self.dist.max())
-        object.__setattr__(self, "fits_int64", worst <= INT64_MAX)
+        fits = n * n * int(self.flow.max()) * int(self.dist.max()) <= INT64_MAX
+        exact = (self.flow, self.dist, self.flow_t, self.dist_t)
+        if not fits:
+            exact = tuple(m.astype(object) for m in exact)
+            for m in exact:
+                m.setflags(write=False)
+        object.__setattr__(self, "fits_int64", fits)
+        object.__setattr__(self, "_exact", exact)
 
 
 def check_permutation(p: np.ndarray, n: int) -> np.ndarray:
@@ -224,14 +232,6 @@ def render_qaplib(inst: Instance) -> str:
     return f"{inst.n}\n\n{rows(inst.flow)}\n\n{rows(inst.dist)}\n"
 
 
-def _exact(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """flow and dist in a dtype whose arithmetic is exact for this instance:
-    the int64 matrices within the int64 budget, else Python integers."""
-    if inst.fits_int64:
-        return inst.flow, inst.dist
-    return inst.flow.astype(object), inst.dist.astype(object)
-
-
 def _checked(costs: np.ndarray) -> np.ndarray:
     """Exact costs as int64; a cost beyond int64 raises CostOverflowError (int64
     input comes from within the int64 budget and is returned as is)."""
@@ -250,11 +250,10 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     _CHUNK_CELLS, at least 1), in blocks of _CHUNK_CELLS // n facilities i:
     per block, one take of the rows p[block] of dist, one take of the rows q
     of those facilities' columns of flow_t, and one einsum adds the trace of
-    their product to each row's cost.  Arithmetic is in the exact dtype of
-    _exact; a cost beyond int64 raises CostOverflowError.
+    their product to each row's cost.  Arithmetic is in the dtype of
+    inst._exact; a cost beyond int64 raises CostOverflowError.
     """
-    flow, dist = _exact(inst)
-    flow_t = inst.flow_t if inst.fits_int64 else flow.T
+    flow, dist, flow_t, _ = inst._exact
     n = inst.n
     out = np.zeros(len(perms), dtype=flow.dtype)
     rows = max(1, _CHUNK_CELLS // (n * n))
@@ -308,11 +307,10 @@ def _swap_deltas(
     gathers: out-of-place temporaries free enough heap for glibc to trim it
     and page it back in on the next call, in a process whose heap has not
     grown yet (115 against 20 page faults per generation at n=100,
-    BENCH_11.json).  The deltas come in the exact dtype of _exact,
+    BENCH_11.json).  The deltas come in the dtype of inst._exact,
     unchecked: callers pass current + delta through _checked.
     """
-    flow, dist = _exact(inst)
-    flow_t, dist_t = (inst.flow_t, inst.dist_t) if inst.fits_int64 else (flow.T, dist.T)
+    flow, dist, flow_t, dist_t = inst._exact
     rows = np.arange(len(perms))
     u = perms[rows, a]
     v = perms[rows, b]
@@ -332,11 +330,12 @@ def _swap_deltas(
 
 
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
-    """Cost after exchanging p[i] and p[k], in O(n) given the current cost."""
+    """Cost after exchanging p[i] and p[k], in O(n) given the current cost (an int64)."""
     p = check_permutation(p, inst.n)
     if not (0 <= i < inst.n and 0 <= k < inst.n):
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
+    current = int(_as_int64("current cost", current))
     delta = int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])
-    return int(_checked(np.array([int(current) + delta], dtype=object))[0])
+    return int(_checked(np.array([current + delta], dtype=object))[0])

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .instance import Instance, _checked, _exact, _Record
+from .instance import Instance, _checked, _Record
 
 DEFAULT_LIMIT = 10
 # positions that each block fills from one table of all their orderings; 5
@@ -63,7 +63,7 @@ def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResu
     An ascending rest keeps the table's order, so the blocks run through all
     permutations in lexicographic order; the first minimum of each block and
     the first strict improvement across blocks give the lexicographically
-    smallest argmin.  Arithmetic is in the exact dtype of _exact and every
+    smallest argmin.  Arithmetic is in the dtype of inst._exact and every
     cost is checked, so one beyond int64 raises CostOverflowError.
     """
     if isinstance(limit, bool) or not isinstance(limit, Integral) or limit < 1:
@@ -72,7 +72,7 @@ def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResu
         raise OracleLimitError(
             f"n={inst.n} exceeds the enumeration limit {limit}; refusing"
         )
-    flow, dist = _exact(inst)
+    flow, dist, _, dist_t = inst._exact
     n = inst.n
     k = min(n, _SUFFIX)
     h = n - k
@@ -81,7 +81,7 @@ def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResu
     suffix_cells = (table[:, :, None] * k + table[:, None, :]).reshape(len(table), k * k)
     # row l is dist[l, :] and row n + l is dist[:, l], so one take per block
     # reads both directions between the prefix and every location
-    both_ways = np.concatenate([dist, dist.T])
+    both_ways = np.concatenate([dist, dist_t])
     flow_pre, flow_suffix = flow[:h, :h], flow[h:, h:].ravel()
     # lift = flow_cross @ pre_rows[:, rest]: column i < h weighs dist[pre_i, rest_l]
     # by flow[i, h + s], column h + i weighs dist[rest_l, pre_i] by flow[h + s, i]

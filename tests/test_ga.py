@@ -178,8 +178,9 @@ class TestSelection:
         assert np.allclose(w, 0.25)
 
     def test_worked_ratio(self):
-        w = selection_weights([10, 30])
-        assert np.allclose(w, [0.75, 0.25])
+        for costs in ([10, 30], [10.0, 30.0], np.array([10, 30], np.uint64)):
+            w = selection_weights(costs)
+            assert np.allclose(w, [0.75, 0.25])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(21)
@@ -227,6 +228,19 @@ class TestSelection:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             selection_weights([])
+
+    @pytest.mark.parametrize("costs, match", [
+        ([0.5, 0.9], "non-integral"),
+        ([2**64, 1], "integers"),
+        ([2**63, 1], "64-bit"),
+        ([-1, 2], "negative"),
+        ([[1, 2], [3, 4]], "1-D"),
+        (7, "1-D"),
+        (["1", "2"], "integers"),
+    ])
+    def test_rejects_costs_that_are_not_int64_integers_in_1d(self, costs, match):
+        with pytest.raises(ValueError, match=match):
+            selection_weights(costs)
 
     def test_roulette_single_element(self):
         c = Chromosome(np.array([0]), 0)

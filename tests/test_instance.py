@@ -16,7 +16,7 @@ from qapga import (
     render_qaplib,
     swap_delta,
 )
-from qapga.instance import _CHUNK_CELLS, _costs, _swap_deltas, read_number
+from qapga.instance import _CHUNK_CELLS, _costs, _swap_deltas, check_permutation, read_number
 from qapga.oracle import random_instance
 
 
@@ -478,7 +478,8 @@ class TestSwapDelta:
         p = np.array([0, 1, 2])
         c = evaluate_cost(tiny3, p)
         q = np.array([1, 0, 2])
-        assert swap_delta(tiny3, p, c, 0, 1) == evaluate_cost(tiny3, q)
+        for current in (c, np.int64(c), np.uint64(c), float(c)):
+            assert swap_delta(tiny3, p, current, 0, 1) == evaluate_cost(tiny3, q)
 
     def test_swap_back_restores(self, tiny3):
         p = np.array([2, 0, 1])
@@ -562,6 +563,11 @@ class TestSwapDelta:
         else:
             assert swap_delta(inst, p, current, i, k) == ref
 
+    @pytest.mark.parametrize("current", [464.7, "12", -1, 2**63, None])
+    def test_rejects_a_current_cost_that_is_not_an_int64(self, tiny3, current):
+        with pytest.raises(ValueError, match="current cost"):
+            swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
+
     def test_rejects_equal_indices(self, tiny3):
         with pytest.raises(ValueError, match="distinct"):
             swap_delta(tiny3, np.array([0, 1, 2]), 64, 1, 1)
@@ -612,6 +618,11 @@ class TestInstanceInvariants:
             Instance("bad", 2, np.array([[0, 2**63], [1, 0]], np.uint64), m)
         with pytest.raises(ValueError, match="64-bit"):
             Instance("bad", 2, m, np.array([[0.0, 1e19], [1.0, 0.0]]))
+        # 2.0**63 == float(INT64_MAX): only an exact integer comparison rejects it
+        with pytest.raises(ValueError, match="64-bit"):
+            Instance("bad", 2, m, np.array([[0.0, 2.0**63], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="64-bit"):
+            check_permutation(np.array([0.0, 2.0**63]), 2)
 
     def test_matrices_are_frozen(self, tiny3):
         with pytest.raises(ValueError):
@@ -715,13 +726,24 @@ class TestTransposes:
     @pytest.mark.parametrize("round_trip", [
         lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy])
     def test_copies_keep_read_only_transposes(self, round_trip):
-        inst = random_instance(6, 50, rng=np.random.default_rng(6))
-        twin = round_trip(inst)
-        assert twin == inst and twin.fits_int64 is inst.fits_int64
-        for label in ("flow", "dist", "flow_t", "dist_t"):
-            m = getattr(twin, label)
-            assert np.array_equal(m, getattr(inst, label)) and not m.flags.writeable
-        assert np.array_equal(twin.dist_t, twin.dist.T)
+        rng = np.random.default_rng(6)
+        small, big = random_instance(6, 50, rng=rng), random_instance(6, 1000, rng=rng)
+        flow = big.flow.copy()
+        flow[0, 0] = 2**50  # worst case beyond int64: the kernels run on Python integers
+        over = Instance("over", 6, flow, big.dist)
+        assert small.fits_int64 and not over.fits_int64
+        perms = np.stack([rng.permutation(6) for _ in range(20)])
+        a, b = np.array([rng.choice(6, 2, replace=False) for _ in range(20)]).T
+        for inst in (small, over):
+            twin = round_trip(inst)
+            assert twin == inst and twin.fits_int64 is inst.fits_int64
+            for label in ("flow", "dist", "flow_t", "dist_t"):
+                m = getattr(twin, label)
+                assert np.array_equal(m, getattr(inst, label)) and not m.flags.writeable
+            assert np.array_equal(twin.dist_t, twin.dist.T)
+            assert _costs(twin, perms).tolist() == _costs(inst, perms).tolist()
+            assert (_swap_deltas(twin, perms, a, b).tolist()
+                    == _swap_deltas(inst, perms, a, b).tolist())
 
     def test_repr_and_equality_ignore_transposes(self, tiny3):
         assert "_t" not in repr(tiny3)
