@@ -23,12 +23,20 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1
 # most cells in each of the two row gathers of _costs, and in each block of
-# rows it inverts, so its temporaries stay within a few times 128 KB whatever
-# the batch; beside them it holds one copy of flow_t, padded as below, for the
-# call.  Larger chunks ran at half speed at n=30 (BENCH_7.json).  The padding
-# makes the flow_t gather's rows odd in length, as the einsum reads it down its
-# columns: with rows of 128 cells (n=128) or 64 (n=256) it ran 1.2x slower
-_CHUNK_CELLS = 1 << 14
+# rows it inverts: 512 KB of int64 per temporary, whatever the batch; beside
+# them it holds one copy of flow_t, padded as below, for the call.  glibc
+# serves a block past its mmap threshold (128 KB by default) with a fresh mmap
+# whose pages fault in on every call, so this size relies on the block freed
+# below (BENCH_16.json).  The padding makes the flow_t gather's rows odd in
+# length, as the einsum reads it down its columns: with rows of 128 cells
+# (n=128) or 64 (n=256) it ran 1.2x slower
+_CHUNK_CELLS = 1 << 16
+
+# Freeing an mmapped block raises glibc's dynamic mmap threshold to the block's
+# size, 4 MB, and its trim threshold to twice that (mallopt(3)), for the whole
+# process: the gathers of _costs and _swap_deltas then come from the heap and
+# stay mapped between calls.  Under other C libraries this is one allocation.
+np.empty(1 << 22, dtype=np.uint8)
 
 
 class QapError(Exception):
@@ -250,8 +258,12 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     _CHUNK_CELLS, at least 1), in blocks of _CHUNK_CELLS // n facilities i:
     per block, one take of the rows p[block] of dist, one take of the rows q
     of those facilities' columns of flow_t, and one einsum adds the trace of
-    their product to each row's cost.  Arithmetic is in the dtype of
-    inst._exact; a cost beyond int64 raises CostOverflowError.
+    their product to each row's cost.  At n=100 a chunk holds 6 rows, so 80
+    rows take 14 einsum passes (80 at 1 << 14).  Each gather, up to 512 KB,
+    is past glibc's default 128 KB mmap threshold; it is served from the heap,
+    with no page faults per call, only because freeing the block at import
+    raised that threshold to 4 MB (BENCH_16.json).  Arithmetic is in the dtype
+    of inst._exact; a cost beyond int64 raises CostOverflowError.
     """
     flow, dist, flow_t, _ = inst._exact
     n = inst.n
@@ -304,11 +316,11 @@ def _swap_deltas(
     j-sums cover all facilities and the two cells at j in {a, b} are taken
     back out; the four cells within {a, b} (diagonals included) are added
     explicitly.  Differences and products are formed in place in fresh
-    gathers: out-of-place temporaries free enough heap for glibc to trim it
-    and page it back in on the next call, in a process whose heap has not
-    grown yet (115 against 20 page faults per generation at n=100,
-    BENCH_11.json).  The deltas come in the dtype of inst._exact,
-    unchecked: callers pass current + delta through _checked.
+    gathers.  Out-of-place temporaries once made glibc trim the heap and page
+    it back in on every call (BENCH_11.json); with the trim threshold raised
+    at import they fault no more, but still ran about 5% slower per n=100
+    swap-only generation (BENCH_16.json).  The deltas come in the dtype of
+    inst._exact, unchecked: callers pass current + delta through _checked.
     """
     flow, dist, flow_t, dist_t = inst._exact
     rows = np.arange(len(perms))
@@ -330,12 +342,15 @@ def _swap_deltas(
 
 
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
-    """Cost after exchanging p[i] and p[k], in O(n) given the current cost (an int64)."""
+    """Cost after exchanging p[i] and p[k], in O(n) given the current cost (an int64 scalar)."""
     p = check_permutation(p, inst.n)
     if not (0 <= i < inst.n and 0 <= k < inst.n):
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
-    current = int(_as_int64("current cost", current))
+    current = _as_int64("current cost", current)
+    if current.ndim:
+        raise ValueError(f"current cost must be a scalar, got shape {current.shape}")
+    current = int(current)
     delta = int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])
     return int(_checked(np.array([current + delta], dtype=object))[0])

@@ -2,8 +2,10 @@ import io
 import os
 import re
 
+import numpy as np
 import pytest
 
+from qapga import Instance, random_instance, render_qaplib
 from qapga.cli import main
 
 TINY1 = "1\n3\n7\n"
@@ -84,6 +86,26 @@ class TestSolve:
     def test_missing_subcommand_exits_1(self):
         status, _, err = invoke([])
         assert status == 1
+
+    # CI's over-budget n=30 step, in-process and with its pins: flow[0, 0] = 2**50
+    # puts the worst-case cost past int64, so the costs and the swap deltas run
+    # on the instance's Python-integer copies
+    @pytest.mark.parametrize("rates, cost, evaluations", [
+        ([], 3377699722773340, 1763),
+        (["--cx-rate", "0", "--mut-rate", "1"], 3377699722767826, 2100),
+    ], ids=["default-rates", "swap-only"])
+    def test_over_budget_instance_keeps_its_pinned_costs(self, tmp_path, rates, cost,
+                                                         evaluations):
+        inst = random_instance(30, 100, rng=np.random.default_rng(1))
+        flow = inst.flow.copy()
+        flow[0, 0] = 2**50
+        path = tmp_path / "over30.dat"
+        path.write_text(render_qaplib(Instance(inst.name, 30, flow, inst.dist)))
+        status, out, _ = invoke(["solve", str(path), "--generations", "20", "--seed", "1",
+                                 *rates])
+        assert status == 0
+        lines = out.splitlines()
+        assert f"cost: {cost}" in lines and f"evaluations: {evaluations}" in lines
 
 
 class TestOracle:

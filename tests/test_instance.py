@@ -1,12 +1,18 @@
 import copy
+import os
 import pickle
+import platform
 import re
+import subprocess
+import sys
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qapga
 from qapga import (
     CostOverflowError,
     Instance,
@@ -411,11 +417,13 @@ class TestTakeGather:
             got = _costs(inst, perms)
             assert got.dtype == np.int64 and got.tolist() == ref
 
-    @pytest.mark.parametrize("n", [150, 256])
+    # one past isqrt(_CHUNK_CELLS) splits each permutation into a full facility
+    # block and a short one (255 and 2 rows at 1 << 16); 7/3 of it into five full
+    # blocks and a remainder (5 x 109 and 52 rows at n=597)
+    @pytest.mark.parametrize("n", [isqrt(_CHUNK_CELLS) + 1, isqrt(_CHUNK_CELLS) * 7 // 3])
     @pytest.mark.parametrize("fits", [True, False])
     def test_facility_blocks_match_the_double_sum(self, n, fits):
-        # n=150 splits each permutation into facility blocks of 109 and 41 rows
-        assert n * n > _CHUNK_CELLS
+        assert n * n > _CHUNK_CELLS and n % (_CHUNK_CELLS // n)
         self.assert_exact(*self.random_case(n, 3, fits, seed=n))
 
     @pytest.mark.parametrize("n", [1, 9, 100, 150])
@@ -448,23 +456,54 @@ class TestTakeGather:
         self.assert_exact(*self.random_case(n, _CHUNK_CELLS // n + 2, True, seed=n))
 
     def test_overflow_in_a_later_chunk_raises(self):
-        # n=200: facility blocks of rows 0-80, 81-161 and 162-199.  The cost is
-        # >= 2**70 exactly when p[190] = 0 and p[191] = 1, which holds only in
-        # the second permutation, inside its last block
-        n = 200
+        # n = 25/16 of isqrt(_CHUNK_CELLS) has three facility blocks (rows 0-162,
+        # 163-325 and 326-399 at 1 << 16, n=400).  The cost is >= 2**70 exactly
+        # when p[i] = 0 and p[i + 1] = 1 for i = n - 10, which holds only in the
+        # second permutation, inside its third block
+        n = isqrt(_CHUNK_CELLS) * 25 // 16
+        i, step = n - 10, _CHUNK_CELLS // n
+        assert 2 * step <= i and i + 1 < min(3 * step, n)
         rng = np.random.default_rng(n)
         flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
-        flow[190, 191] = 2**40
+        flow[i, i + 1] = 2**40
         dist[0, 1] = 2**30
         inst = Instance("late", n, flow, dist)
         bad = np.arange(n)
-        bad[[0, 1, 190, 191]] = [190, 191, 0, 1]
+        bad[[0, 1, i, i + 1]] = [i, i + 1, 0, 1]
         perms = np.stack([np.roll(np.arange(n), 1), bad])
         flow, dist = inst.flow.tolist(), inst.dist.tolist()
         assert _costs(inst, perms[:1]).tolist() == [double_sum_cost(flow, dist, perms[0].tolist())]
         assert double_sum_cost(flow, dist, bad.tolist()) > 2**63 - 1
         with pytest.raises(CostOverflowError):
             _costs(inst, perms)
+
+
+# a fresh process, as the allocator's state is the point: 3 warm-up calls of
+# _costs at n=100, then the mean minor page faults of 20 more
+FAULTS_PER_COSTS_CALL = """
+import resource
+import numpy as np
+import qapga
+from qapga.instance import _costs
+inst = qapga.random_instance(100, 100, rng=np.random.default_rng(1))
+perms = np.random.default_rng(2).permuted(np.tile(np.arange(100), (80, 1)), axis=1)
+for _ in range(3):
+    _costs(inst, perms)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _costs(inst, perms)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mmap threshold")
+def test_costs_gathers_do_not_fault_in_fresh_pages():
+    # importing qapga raises glibc's mmap threshold, so the 512 KB gathers of
+    # _costs reuse heap pages; without that they read about 2650 faults per call
+    src = os.path.dirname(os.path.dirname(qapga.__file__))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_COSTS_CALL], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert float(out.stdout) < 100
 
 
 class TestSwapDelta:
@@ -563,7 +602,8 @@ class TestSwapDelta:
         else:
             assert swap_delta(inst, p, current, i, k) == ref
 
-    @pytest.mark.parametrize("current", [464.7, "12", -1, 2**63, None])
+    @pytest.mark.parametrize("current", [464.7, "12", -1, 2**63, None,
+                                         [591], np.array([591]), [[591]]])
     def test_rejects_a_current_cost_that_is_not_an_int64(self, tiny3, current):
         with pytest.raises(ValueError, match="current cost"):
             swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
