@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .ga import GaConfig, run
@@ -107,6 +106,9 @@ def run_suite(
         tasks += [(inst, replace(inst_cfg, rng_seed=seed)) for seed in seeds]
 
     if jobs > 1:
+        # imported here: the pool's modules add about 0.8 MB of resident memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, *zip(*tasks)))
     else:

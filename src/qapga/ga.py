@@ -7,11 +7,11 @@ Population
 The population is two arrays: perms (P, n) int64, one permutation per row,
 and costs (P,) int64, the exact cost of each row.  A generation runs each
 phase as one batched call over all pairs or children: roulette picks
-(_pick), order crossover over the stacked crossing pairs, position draws
-(_swap_positions) with O(n) swap deltas for mutated copies, and one exact
-evaluation of every child whose cost is unknown.  swap_mutation and
-roulette_select are one-row front ends over the same kernels, and
-Chromosome appears only as GaResult.best.
+(_pick) and one gather of the next population, order crossover on the rows
+of the crossed pairs, position draws (_swap_positions) with O(n) swap deltas
+for mutated copies, and one exact evaluation of every child whose cost is
+unknown.  swap_mutation and roulette_select are one-row front ends over the
+same kernels, and Chromosome appears only as GaResult.best.
 
 Determinism contract
 --------------------
@@ -202,9 +202,9 @@ def order_crossover_two_point(p1, p2, cut1, cut2) -> tuple[np.ndarray, np.ndarra
                          f"for parents of shape {p1.shape}")
     if not ((0 <= cut1) & (cut1 <= cut2) & (cut2 <= n)).all():
         raise ValueError(f"cut points out of range: ({cut1}, {cut2}) for n={n}")
-    lo, hi = (np.concatenate((c, c), axis=None)[:, None] for c in (cut1, cut2))
-    pos = np.arange(n)
-    keep = (pos >= lo) & (pos < hi)
+    # cuts are validated 0 <= lo <= hi, so pos - lo wraps past hi - lo where pos < lo
+    lo, hi = np.concatenate((cut1, cut1, cut2, cut2), axis=None).astype(np.uint64).reshape(2, -1, 1)
+    keep = np.arange(n, dtype=np.uint64) - lo < hi - lo
     # the keeper rows, filled in place into the children
     child = np.concatenate((p1, p2)).reshape(-1, n).astype(np.int64, copy=False)
     donor = np.concatenate((p2, p1)).reshape(-1, n)
@@ -217,10 +217,10 @@ def order_crossover_two_point(p1, p2, cut1, cut2) -> tuple[np.ndarray, np.ndarra
     return tuple(child.reshape((2,) + p1.shape))
 
 
-def _swap_positions(n: int, u_a, u_b) -> tuple[np.ndarray, np.ndarray]:
-    """Two distinct uniform positions per pair of uniforms in [0, 1)."""
-    a = (np.asarray(u_a) * n).astype(np.int64)
-    b = (np.asarray(u_b) * (n - 1)).astype(np.int64)
+def _swap_positions(n: int, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two distinct uniform positions per pair of uniform arrays in [0, 1)."""
+    a = (u_a * n).astype(np.int64)
+    b = (u_b * (n - 1)).astype(np.int64)
     return a, b + (b >= a)
 
 
@@ -253,18 +253,18 @@ def selection_weights(costs) -> np.ndarray:
     costs = _as_int64("costs", costs)
     if costs.ndim != 1 or costs.size == 0:
         raise ValueError(f"costs must be a non-empty 1-D sequence, got shape {costs.shape}")
-    lo = int(costs.min())
-    hi = int(costs.max())
+    lo = int(np.minimum.reduce(costs))
+    hi = int(np.maximum.reduce(costs))
     if lo == hi:
         return np.full(costs.size, 1.0 / costs.size)
     raw = (hi - costs).astype(np.float64) + (lo or 1)
-    return raw / raw.sum()
+    return raw / np.add.reduce(raw)
 
 
 def _pick(cumweights: np.ndarray, u):
     """Roulette index (or indices) of the uniform(s) u, spun over the wheel's total."""
-    spin = np.searchsorted(cumweights, u * cumweights[-1], side="right")
-    return np.minimum(spin, len(cumweights) - 1)
+    spin = cumweights.searchsorted(u * cumweights[-1], side="right")
+    return np.minimum(spin, cumweights.size - 1)
 
 
 def roulette_select(
@@ -294,64 +294,72 @@ def evolve_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generation: elitist survivors plus roulette/crossover/mutation offspring.
 
-    Takes and returns the population as perms (P, n) and costs (P,).  Each
-    phase is one batched call over all pairs or children.  Crossover
-    children are cost-evaluated in one batch; a mutated verbatim copy
-    reuses its parent's cost through an O(n) swap delta instead.  If
-    _counter is given, its two elements are incremented by the number of
-    full and of delta cost evaluations performed.
+    Takes and returns the population as perms (P, n) and costs (P,).  One
+    gather of the elite rows and the roulette-picked parents builds the next
+    population, and the children are its tail: rows 2i and 2i+1 of the tail
+    start as verbatim copies of pair i's parents.  Each phase is one batched
+    call over all pairs or children, and writes to the children by row
+    index: order crossover on the rows of the crossed pairs, then swaps on
+    the mutated rows.  Crossover children are cost-evaluated in one batch;
+    a mutated verbatim copy reuses its parent's cost through an O(n) swap
+    delta instead.  If _counter is given, its two elements are incremented
+    by the number of full and of delta cost evaluations performed.
     """
     pop_size = cfg.population_size
     if len(perms) != pop_size or len(costs) != pop_size:
         raise ValueError("population size does not match config")
     n = inst.n
+    elites = cfg.elitism_count
 
-    elite_idx = np.argsort(costs, kind="stable")[: cfg.elitism_count]
-    cum = np.cumsum(selection_weights(costs))
-    n_offspring = pop_size - cfg.elitism_count
-    n_pairs = (n_offspring + 1) // 2
+    cum = selection_weights(costs).cumsum()
+    n_pairs = (pop_size - elites + 1) // 2
     blocks = rng.random((n_pairs, 11))
 
-    # children 2i and 2i+1 come from pair i: verbatim copies of its parents
-    # unless the pair crosses over
-    parents = _pick(cum, blocks[:, :2])
-    children = perms[parents.ravel()]
-    child_costs = costs[parents.ravel()]
+    # one gather builds the next population: the elite, then children 2i and
+    # 2i+1 of pair i; an odd last child is bred and priced, then dropped
+    rows = np.concatenate((costs.argsort(kind="stable")[:elites], _pick(cum, blocks[:, :2]).ravel()))
+    next_perms, next_costs = perms.take(rows, axis=0), costs.take(rows)
+    children, child_costs = next_perms[elites:], next_costs[elites:]
     crossed = blocks[:, 2] < cfg.crossover_rate
-    dirty = np.repeat(crossed, 2)  # cost unknown until evaluated
-    if crossed.any():
-        cuts = np.sort((blocks[crossed, 3:5] * (n + 1)).astype(np.int64), axis=1)
-        pairs = children.reshape(n_pairs, 2, n)  # a view: pair i is rows 2i and 2i+1
-        # one statement, so the parents and children it gathers die before _costs
-        pairs[crossed] = np.stack(order_crossover_two_point(
-            *pairs[crossed].transpose(1, 0, 2), *cuts.T), axis=1)
+    first = crossed.nonzero()[0] * 2  # the rows of the crossed pairs' first children
+    second = first + 1
+    if first.size:
+        cuts = (blocks[crossed, 3:5] * (n + 1)).astype(np.int64)
+        cuts.sort(axis=1)
+        # one statement, so the parents it gathers die before _costs
+        children[first], children[second] = order_crossover_two_point(
+            children.take(first, axis=0), children.take(second, axis=0), *cuts.T)
 
     # mutations before evaluation, so crossover children need one batch;
     # copies are swap-delta'd against their parent's cost first
     delta = full = 0
     coin, u_a, u_b = blocks[:, 5:].reshape(-1, 3).T  # one row per child
-    mutated = np.flatnonzero(coin < cfg.mutation_rate)
+    mutated = (coin < cfg.mutation_rate).nonzero()[0]
     if n >= 2 and mutated.size:
         a, b = _swap_positions(n, u_a[mutated], u_b[mutated])
-        copies = ~dirty[mutated]
+        copies = ~crossed[mutated >> 1]  # child k is of pair k >> 1
         copied = mutated[copies]
-        deltas = _swap_deltas(inst, children[copied], a[copies], b[copies])
+        deltas = _swap_deltas(inst, children.take(copied, axis=0), a[copies], b[copies])
         child_costs[copied] = _checked(child_costs[copied] + deltas)
         delta = copied.size
-        children[mutated, a], children[mutated, b] = children[mutated, b], children[mutated, a]
+        genes = children.reshape(-1)  # a view: children is a tail of the fresh gather
+        row = mutated * n
+        a += row
+        b += row
+        genes[a], genes[b] = genes[b], genes[a]
 
-    if crossed.any():
-        child_costs[dirty] = _costs(inst, children[dirty])
-        full = int(dirty.sum())
+    if first.size:
+        dirty = np.concatenate((first, second))
+        child_costs[dirty] = _costs(inst, children.take(dirty, axis=0))
+        full = dirty.size
 
-    assert (np.sort(children, axis=1) == np.arange(n)).all()
+    ordered = children.copy()
+    ordered.sort(axis=1)
+    assert (ordered == np.arange(n)).all()
     if _counter is not None:
         _counter[0] += full
         _counter[1] += delta
-    return (
-        np.concatenate([perms[elite_idx], children[:n_offspring]]),
-        np.concatenate([costs[elite_idx], child_costs[:n_offspring]]),
-    )
+    return next_perms[:pop_size], next_costs[:pop_size]
 
 
 def run(inst: Instance, cfg: GaConfig) -> GaResult:

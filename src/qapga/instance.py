@@ -277,15 +277,15 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
         cols[:, :w] = flow_t[:, f : f + w]
         blocks.append((slice(f, f + w), cols))
     for t in range(0, len(perms), step):
-        span = perms[t : t + step]
+        span, acc = perms[t : t + step], out[t : t + step]
         inv = np.empty(span.shape, dtype=np.intp)
         inv[np.arange(len(span))[:, None], span] = np.arange(n)
         for s in range(0, len(span), rows):
             p, q = span[s : s + rows], inv[s : s + rows]
             for block, cols in blocks:  # one expression, so no gather outlives its einsum
-                out[t + s : t + s + len(p)] += np.einsum(
-                    "ril,rli->r", np.take(dist, p[:, block], axis=0),
-                    np.take(cols, q, axis=0)[..., : block.stop - block.start])
+                acc[s : s + rows] += np.einsum(
+                    "ril,rli->r", dist.take(p[:, block], axis=0),
+                    cols.take(q, axis=0)[..., : block.stop - block.start])
     return _checked(out)
 
 
@@ -297,8 +297,8 @@ def evaluate_cost(inst: Instance, p: np.ndarray) -> int:
 
 def _row_diff(m: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     """m[v] - m[u], subtracted in place into the fresh gather m[v]."""
-    d = m[v]
-    d -= m[u]
+    d = m.take(v, axis=0)
+    d -= m.take(u, axis=0)
     return d
 
 
@@ -327,13 +327,13 @@ def _swap_deltas(
     u = perms[rows, a]
     v = perms[rows, b]
     idx = perms + (rows * inst.n)[:, None]
-    cross = np.take(_row_diff(dist, v, u).ravel(), idx)
+    cross = _row_diff(dist, v, u).take(idx)
     cross *= _row_diff(flow, a, b)
-    in_d = np.take(_row_diff(dist_t, v, u).ravel(), idx)
+    in_d = _row_diff(dist_t, v, u).take(idx)
     in_d *= _row_diff(flow_t, a, b)
     cross += in_d
     return (
-        cross.sum(axis=1)
+        np.add.reduce(cross, axis=1)
         - cross[rows, a]
         - cross[rows, b]
         + (flow[a, a] - flow[b, b]) * (dist[v, v] - dist[u, u])

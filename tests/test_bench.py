@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qapga
 from qapga import (
     GaConfig,
     Instance,
@@ -15,6 +20,8 @@ from qapga import (
 )
 from qapga.bench import BenchError, BenchRow
 from qapga.oracle import exhaustive_optimum, random_instance
+
+from conftest import BASELINES_CSV
 
 
 class TestLoadBaselines:
@@ -145,6 +152,25 @@ class TestRunSuite:
         cfg = GaConfig(population_size=2, max_generations=2)
         (row,) = run_suite(instances, baselines, cfg, seeds=[3, 1, 2])
         assert run_calls == [3, 1, 2] and row.seeds_run == 3
+
+    def test_two_jobs_give_the_rows_of_one(self, nug12):
+        # the inputs of the workflow's `bench --jobs 2` step; rows compared whole
+        # but for their timings (per_seed_time_s does not take part in ==)
+        baselines = load_baselines(BASELINES_CSV.read_text())
+        cfg = GaConfig(max_generations=20)
+        serial, pooled = (run_suite([nug12], baselines, cfg, [1, 2], jobs=jobs)
+                          for jobs in (1, 2))
+        assert [replace(r, total_time_s=0.0) for r in pooled] == \
+            [replace(r, total_time_s=0.0) for r in serial]
+
+    def test_importing_qapga_does_not_load_the_process_pool(self):
+        # run_suite imports it only when jobs > 1: it adds about 0.8 MB of RSS
+        src = os.path.dirname(os.path.dirname(qapga.__file__))
+        code = ("import sys, qapga, qapga.bench, qapga.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_rows_deterministic_except_timing(self):
         rng = np.random.default_rng(66)

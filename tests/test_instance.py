@@ -354,7 +354,11 @@ class TestCostChunks:
         for m in sorted({rows - 1, rows, rows + 1, 2 * rows + 1}):
             yield rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
 
-    @pytest.mark.parametrize("n", [1, 2, 9, 12, 90, 91, 100, 128, 129, 200, 256])
+    # isqrt(C // 2) is the largest n with two permutations per chunk, isqrt(C)
+    # the largest in one facility block; each is paired with the n past it
+    @pytest.mark.parametrize("n", sorted({1, 2, 9, 12, 90, 91, 100, 128, 129, 200, 256} | {
+        isqrt(_CHUNK_CELLS // 2), isqrt(_CHUNK_CELLS // 2) + 1,
+        isqrt(_CHUNK_CELLS), isqrt(_CHUNK_CELLS) + 1}))
     @pytest.mark.parametrize("fits", [True, False])
     def test_exact_at_chunk_boundaries(self, n, fits):
         rng = np.random.default_rng(n)
