@@ -22,14 +22,14 @@ from numbers import Integral
 import numpy as np
 
 INT64_MAX = 2**63 - 1
-# most cells in each of the two row gathers of _costs, and in each block of
-# rows it inverts: 512 KB of int64 per temporary, whatever the batch; beside
-# them it holds one copy of flow_t, padded as below, for the call.  glibc
-# serves a block past its mmap threshold (128 KB by default) with a fresh mmap
-# whose pages fault in on every call, so this size relies on the block freed
-# below (BENCH_16.json).  The padding makes the flow_t gather's rows odd in
-# length, as the einsum reads it down its columns: with rows of 128 cells
-# (n=128) or 64 (n=256) it ran 1.2x slower
+# most cells in each of the two row gathers of _costs, the pad column aside:
+# 512 KB of int64 each, whatever the batch.  Beside them a call holds one facility
+# block's padded columns of flow_t and the inverse of its batch.  glibc serves a
+# block past its mmap threshold (128 KB by default) with a fresh mmap whose pages
+# fault in on every call, so this size relies on the block freed below
+# (BENCH_16.json).  The padding makes the flow_t gather's rows odd in length, as
+# the einsum reads it down its columns: with rows of 128 cells (n=128) or 64
+# (n=256) it ran 1.2x slower
 _CHUNK_CELLS = 1 << 16
 
 # Freeing an mmapped block raises glibc's dynamic mmap threshold to the block's
@@ -253,39 +253,32 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
 
     With q the inverse of a row p, cost(p) = sum_{i,l} dist[p[i], l] *
     flow[i, q[l]], the trace of dist[p] @ flow_t[q]: both factors are row
-    gathers, and no column is gathered.  One scatter inverts each span of
-    _CHUNK_CELLS // n rows.  Within a span rows go r at a time (r * n * n <=
-    _CHUNK_CELLS, at least 1), in blocks of _CHUNK_CELLS // n facilities i:
-    per block, one take of the rows p[block] of dist, one take of the rows q
-    of those facilities' columns of flow_t, and one einsum adds the trace of
-    their product to each row's cost.  At n=100 a chunk holds 6 rows, so 80
-    rows take 14 einsum passes (80 at 1 << 14).  Each gather, up to 512 KB,
-    is past glibc's default 128 KB mmap threshold; it is served from the heap,
-    with no page faults per call, only because freeing the block at import
-    raised that threshold to 4 MB (BENCH_16.json).  Arithmetic is in the dtype
-    of inst._exact; a cost beyond int64 raises CostOverflowError.
+    gathers, and no column is gathered.  One scatter inverts the whole batch.
+    Facilities i go in blocks of `step` (all n while n * n <= _CHUNK_CELLS).
+    Per block, its columns of flow_t are padded to rows of odd length; then per
+    chunk of `rows` permutations, one take of the rows p[block] of dist, one
+    take of the rows q of those columns, and one einsum add the trace of their
+    product to each row's cost.  So a call holds two gathers of at most 512 KB
+    each (the pad column aside), one block's padded columns and the inverse of
+    the batch (see _CHUNK_CELLS for why that size).  At n=100 a chunk holds 6
+    rows, so 80 rows take 14 einsum passes.  Arithmetic is in the dtype of
+    inst._exact; a cost beyond int64 raises CostOverflowError.
     """
     flow, dist, flow_t, _ = inst._exact
     n = inst.n
     out = np.zeros(len(perms), dtype=flow.dtype)
-    rows = max(1, _CHUNK_CELLS // (n * n))
-    step = max(1, _CHUNK_CELLS // n)  # facilities per block, and rows per span
-    blocks = []  # facilities f..f+w-1, and their columns of flow_t in rows of odd length
+    inv = np.empty(perms.shape, dtype=np.intp)
+    inv[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    step = min(n, max(1, _CHUNK_CELLS // n))  # facilities per block
+    rows = max(1, _CHUNK_CELLS // (n * step))  # permutations per chunk
     for f in range(0, n, step):
         w = min(step, n - f)
-        cols = np.zeros((n, w | 1), dtype=flow.dtype)
+        cols = np.zeros((n, w | 1), dtype=flow.dtype)  # rows of odd length
         cols[:, :w] = flow_t[:, f : f + w]
-        blocks.append((slice(f, f + w), cols))
-    for t in range(0, len(perms), step):
-        span, acc = perms[t : t + step], out[t : t + step]
-        inv = np.empty(span.shape, dtype=np.intp)
-        inv[np.arange(len(span))[:, None], span] = np.arange(n)
-        for s in range(0, len(span), rows):
-            p, q = span[s : s + rows], inv[s : s + rows]
-            for block, cols in blocks:  # one expression, so no gather outlives its einsum
-                acc[s : s + rows] += np.einsum(
-                    "ril,rli->r", dist.take(p[:, block], axis=0),
-                    cols.take(q, axis=0)[..., : block.stop - block.start])
+        for s in range(0, len(perms), rows):  # one expression, so no gather outlives its einsum
+            out[s : s + rows] += np.einsum(
+                "ril,rli->r", dist.take(perms[s : s + rows, f : f + w], axis=0),
+                cols.take(inv[s : s + rows], axis=0)[..., :w])
     return _checked(out)
 
 

@@ -445,7 +445,7 @@ class TestTakeGather:
         m = data.draw(st.integers(0, 3 * rows), label="m")
         self.assert_exact(*self.random_case(n, m, fits, seed))
 
-    @pytest.mark.parametrize("n", [12, 100])
+    @pytest.mark.parametrize("n", [12, 100, isqrt(_CHUNK_CELLS) + 1])
     def test_strided_views_of_a_population(self, n):
         inst, pop = self.random_case(n, 9, True, seed=n)
         before = pop.copy()
@@ -456,7 +456,8 @@ class TestTakeGather:
 
     @pytest.mark.parametrize("n", [9, 40])
     def test_rows_past_the_first_inverted_span(self, n):
-        # _costs inverts the rows _CHUNK_CELLS // n at a time
+        # the one inverse scatter then covers more than _CHUNK_CELLS cells, a
+        # batch (7283 rows at n=9) far larger than any caller sends
         self.assert_exact(*self.random_case(n, _CHUNK_CELLS // n + 2, True, seed=n))
 
     def test_overflow_in_a_later_chunk_raises(self):
