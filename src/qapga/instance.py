@@ -6,11 +6,14 @@ of p is the full double sum over ordered facility pairs, diagonal included:
 
     cost(p) = sum_{i,k} flow[i][k] * dist[p[i]][p[k]]
 
-Matrices are held as int64, each with a C-contiguous transpose (flow_t,
-dist_t), so that every kernel reads rows: with q = p^-1, the cost of p is
-trace(dist[p] @ flow_t[q]).  Each kernel reads Instance._exact: the int64
-matrices within the int64 budget, Python-integer copies beyond it.  Costs
-that do not fit a signed 64-bit range raise CostOverflowError, never wrap.
+Matrices are held as int64.  Each kernel reads Instance._exact, the operands
+(flow, dist, flow_t, dist_t) with C-contiguous transposes, so that every
+kernel reads rows: with q = p^-1, the cost of p is trace(dist[p] @ flow_t[q]).
+The operands take the first of three tiers that holds the worst-case cost
+n^2 * max(flow) * max(dist): int32 up to 2^31 - 1, int64 up to 2^63 - 1, else
+Python-integer copies.  Within a fixed-width tier every product, partial sum
+and cost stays within the tier's range, so nothing wraps.  Costs that do not
+fit a signed 64-bit range raise CostOverflowError, never wrap.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ from numbers import Integral
 
 import numpy as np
 
+INT32_MAX = 2**31 - 1
 INT64_MAX = 2**63 - 1
 # most cells in each of the two row gathers of _costs, the pad column aside:
-# 512 KB of int64 each, whatever the batch.  Beside them a call holds one facility
-# block's padded columns of flow_t and the inverse of its batch.  glibc serves a
-# block past its mmap threshold (128 KB by default) with a fresh mmap whose pages
-# fault in on every call, so this size relies on the block freed below
-# (BENCH_16.json).  The padding makes the flow_t gather's rows odd in length, as
-# the einsum reads it down its columns: with rows of 128 cells (n=128) or 64
-# (n=256) it ran 1.2x slower
+# 256 KB of int32 or 512 KB of int64 each, whatever the batch.  Beside them a
+# call holds one facility block's padded columns of flow_t and the inverse of
+# its batch.  glibc serves a block past its mmap threshold (128 KB by default)
+# with a fresh mmap whose pages fault in on every call, so this size relies on
+# the block freed below (BENCH_16.json).  The padding makes the flow_t gather's
+# rows odd in length, as the einsum reads it down its columns: with rows of 128
+# cells (n=128) or 64 (n=256) it ran 1.2x slower
 _CHUNK_CELLS = 1 << 16
 
 # Freeing an mmapped block raises glibc's dynamic mmap threshold to the block's
@@ -94,13 +98,16 @@ class _Record:
 class Instance(_Record):
     """A QAP instance: integer size n >= 1 plus flow and distance matrices.
 
-    The matrices are stored as read-only int64 copies, and flow_t and dist_t
-    hold their read-only, C-contiguous transposes for the swap deltas.
-    fits_int64 is true when the worst-case cost n^2 * max(flow) * max(dist)
-    fits in int64, so that every cost and swap delta can be computed in int64
-    without overflow.  _exact holds (flow, dist, flow_t, dist_t) as the kernels
-    read them: these arrays within budget, else read-only Python-integer
-    copies made once.  As a _Record, it compares by name, n and matrices.
+    The matrices are stored as read-only int64 copies.  fits_int64 is true
+    when the worst-case cost n^2 * max(flow) * max(dist) fits in int64.
+    _exact holds the read-only operands (flow, dist, flow_t, dist_t) as the
+    kernels read them, in the first tier that holds the worst case: int32 up
+    to 2^31 - 1, int64 up to 2^63 - 1, else Python-integer copies made once.
+    No cost, product or partial sum of a kernel can then leave the tier's
+    range.  flow_t and dist_t are the read-only, C-contiguous transposes,
+    built in the tier's dtype (int64 for Python integers), so that the int32
+    operands cost no second set of transposes.  As a _Record, it compares by
+    name, n and matrices.
     """
 
     name: str
@@ -121,14 +128,15 @@ class Instance(_Record):
             m = _as_int64(f"{label} matrix", getattr(self, label))
             if m.shape != (n, n):
                 raise ValueError(f"{label} matrix must be {n}x{n}, got {m.shape}")
-            self._own(f"{label}_t", self._own(label, m).T)
-        fits = n * n * int(self.flow.max()) * int(self.dist.max()) <= INT64_MAX
-        exact = (self.flow, self.dist, self.flow_t, self.dist_t)
-        if not fits:
+            self._own(label, m)
+        worst = n * n * int(self.flow.max()) * int(self.dist.max())
+        ops = [m if worst > INT32_MAX else m.astype(np.int32) for m in (self.flow, self.dist)]
+        exact = (*ops, self._own("flow_t", ops[0].T), self._own("dist_t", ops[1].T))
+        if worst > INT64_MAX:
             exact = tuple(m.astype(object) for m in exact)
-            for m in exact:
-                m.setflags(write=False)
-        object.__setattr__(self, "fits_int64", fits)
+        for m in exact:
+            m.setflags(write=False)
+        object.__setattr__(self, "fits_int64", worst <= INT64_MAX)
         object.__setattr__(self, "_exact", exact)
 
 
@@ -241,8 +249,9 @@ def render_qaplib(inst: Instance) -> str:
 
 
 def _checked(costs: np.ndarray) -> np.ndarray:
-    """Exact costs as int64; a cost beyond int64 raises CostOverflowError (int64
-    input comes from within the int64 budget and is returned as is)."""
+    """Exact costs as int64; a cost beyond int64 raises CostOverflowError (int32
+    and int64 input comes from within its tier's budget, so it is widened or
+    returned as is, and only Python integers are checked)."""
     if costs.dtype == object and (top := max(costs, default=0)) > INT64_MAX:
         raise CostOverflowError(f"cost {top} exceeds signed 64-bit range")
     return costs.astype(np.int64, copy=False)
@@ -258,11 +267,14 @@ def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
     Per block, its columns of flow_t are padded to rows of odd length; then per
     chunk of `rows` permutations, one take of the rows p[block] of dist, one
     take of the rows q of those columns, and one einsum add the trace of their
-    product to each row's cost.  So a call holds two gathers of at most 512 KB
-    each (the pad column aside), one block's padded columns and the inverse of
-    the batch (see _CHUNK_CELLS for why that size).  At n=100 a chunk holds 6
-    rows, so 80 rows take 14 einsum passes.  Arithmetic is in the dtype of
-    inst._exact; a cost beyond int64 raises CostOverflowError.
+    product to each row's cost.  So a call holds two gathers of at most 256 KB
+    (int32) or 512 KB (int64) each, the pad column aside, one block's padded
+    columns and the inverse of the batch (see _CHUNK_CELLS for why that size).
+    At n=100 a chunk holds 6 rows, so 80 rows take 14 einsum passes.
+    Arithmetic, accumulator included, is in the dtype of inst._exact: each
+    term is one flow entry times one dist entry and each sum at most the
+    worst-case cost, so an int32 or int64 tier holds them; a cost beyond int64
+    raises CostOverflowError.
     """
     flow, dist, flow_t, _ = inst._exact
     n = inst.n
@@ -312,8 +324,11 @@ def _swap_deltas(
     gathers.  Out-of-place temporaries once made glibc trim the heap and page
     it back in on every call (BENCH_11.json); with the trim threshold raised
     at import they fault no more, but still ran about 5% slower per n=100
-    swap-only generation (BENCH_16.json).  The deltas come in the dtype of
-    inst._exact, unchecked: callers pass current + delta through _checked.
+    swap-only generation (BENCH_16.json).  Products and their sum per cell are
+    formed in the dtype of inst._exact: each cell is at most 2 * max(flow) *
+    max(dist) in magnitude, within the worst case for n >= 2.  numpy sums
+    fixed-width rows in int64, and the deltas come in int64 (or Python
+    integers), unchecked: callers pass current + delta through _checked.
     """
     flow, dist, flow_t, dist_t = inst._exact
     rows = np.arange(len(perms))

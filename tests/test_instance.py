@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+from itertools import permutations
 from math import isqrt
 
 import numpy as np
@@ -23,7 +24,22 @@ from qapga import (
     swap_delta,
 )
 from qapga.instance import _CHUNK_CELLS, _costs, _swap_deltas, check_permutation, read_number
-from qapga.oracle import random_instance
+from qapga.oracle import exhaustive_optimum, random_instance
+
+# the three tiers of Instance._exact, by the dtype of its operands, and their test
+# ids: whether the worst-case cost fits int32 (True), only int64, or neither (False)
+TIERS, TIER_IDS = (np.int32, np.int64, object), ("True", "int64", "False")
+
+
+def tiered(name, flow, dist, tier):
+    """Instance(name, n, flow, dist) with its operands in tier, asserted.  flow and dist
+    must fit int32; flow[0, 0] and dist[0, -1] are then raised past the int32 budget
+    (int64) or past the int64 budget (object).  At n=1 they are the one cost term."""
+    if tier is not np.int32:
+        flow[0, 0], dist[0, -1] = (2**24, 2**8) if tier is np.int64 else (2**40, 2**30)
+    inst = Instance(name, len(flow), flow, dist)
+    assert inst._exact[0].dtype == tier and inst.fits_int64 is (tier is not object)
+    return inst
 
 
 def quadruple_sum_cost(inst, p):
@@ -359,15 +375,11 @@ class TestCostChunks:
     @pytest.mark.parametrize("n", sorted({1, 2, 9, 12, 90, 91, 100, 128, 129, 200, 256} | {
         isqrt(_CHUNK_CELLS // 2), isqrt(_CHUNK_CELLS // 2) + 1,
         isqrt(_CHUNK_CELLS), isqrt(_CHUNK_CELLS) + 1}))
-    @pytest.mark.parametrize("fits", [True, False])
-    def test_exact_at_chunk_boundaries(self, n, fits):
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_exact_at_chunk_boundaries(self, n, tier):
         rng = np.random.default_rng(n)
         flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
-        if not fits:  # worst case beyond int64; only n=1 has a cost beyond it too
-            flow[0, 0] = 2**40
-            dist[0, -1] = 2**30
-        inst = Instance("chunks", n, flow, dist)
-        assert inst.fits_int64 is fits
+        inst = tiered("chunks", flow, dist, tier)
         flow, dist = inst.flow.tolist(), inst.dist.tolist()
         for perms in self.boundary_perms(n, rng):
             ref = [double_sum_cost(flow, dist, p) for p in perms.tolist()]
@@ -401,14 +413,11 @@ class TestTakeGather:
     """_costs on the facility-block path and on any chunk of whole permutations"""
 
     @staticmethod
-    def random_case(n, m, fits, seed):
+    def random_case(n, m, tier, seed):
         rng = np.random.default_rng(seed)
-        flow, dist = (rng.integers(0, 100, size=(n, n)) for _ in range(2))
-        if not fits:  # worst case beyond int64; only n=1 has a cost beyond it too
-            flow[0, 0] = 2**40
-            dist[0, -1] = 2**30
-        inst = Instance("take", n, flow, dist)
-        assert inst.fits_int64 is fits
+        # below 64, so that the int32 tier reaches n=597
+        flow, dist = (rng.integers(0, 64, size=(n, n)) for _ in range(2))
+        inst = tiered("take", flow, dist, tier)
         return inst, rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
 
     def assert_exact(self, inst, perms):
@@ -425,40 +434,41 @@ class TestTakeGather:
     # block and a short one (255 and 2 rows at 1 << 16); 7/3 of it into five full
     # blocks and a remainder (5 x 109 and 52 rows at n=597)
     @pytest.mark.parametrize("n", [isqrt(_CHUNK_CELLS) + 1, isqrt(_CHUNK_CELLS) * 7 // 3])
-    @pytest.mark.parametrize("fits", [True, False])
-    def test_facility_blocks_match_the_double_sum(self, n, fits):
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_facility_blocks_match_the_double_sum(self, n, tier):
         assert n * n > _CHUNK_CELLS and n % (_CHUNK_CELLS // n)
-        self.assert_exact(*self.random_case(n, 3, fits, seed=n))
+        self.assert_exact(*self.random_case(n, 3, tier, seed=n))
 
     @pytest.mark.parametrize("n", [1, 9, 100, 150])
-    @pytest.mark.parametrize("fits", [True, False])
-    def test_empty_input(self, n, fits):
-        inst, perms = self.random_case(n, 0, fits, seed=n)
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_empty_input(self, n, tier):
+        inst, perms = self.random_case(n, 0, tier, seed=n)
         got = _costs(inst, perms)
         assert got.dtype == np.int64 and got.shape == (0,)
 
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 40), fits=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(1, 40), tier=st.sampled_from(TIERS), seed=st.integers(0, 2**32 - 1),
            data=st.data())
-    def test_any_chunk_of_whole_permutations(self, n, fits, seed, data):
+    def test_any_chunk_of_whole_permutations(self, n, tier, seed, data):
         rows = _CHUNK_CELLS // (n * n)
         m = data.draw(st.integers(0, 3 * rows), label="m")
-        self.assert_exact(*self.random_case(n, m, fits, seed))
+        self.assert_exact(*self.random_case(n, m, tier, seed))
 
     @pytest.mark.parametrize("n", [12, 100, isqrt(_CHUNK_CELLS) + 1])
     def test_strided_views_of_a_population(self, n):
-        inst, pop = self.random_case(n, 9, True, seed=n)
-        before = pop.copy()
-        for view in (pop[::2], pop[::-3], np.asfortranarray(pop), pop.reshape(3, 3, n)[:, 1]):
-            assert not view.flags.c_contiguous
-            self.assert_exact(inst, view)
-        assert np.array_equal(pop, before)
+        for tier in TIERS:
+            inst, pop = self.random_case(n, 9, tier, seed=n)
+            before = pop.copy()
+            for view in (pop[::2], pop[::-3], np.asfortranarray(pop), pop.reshape(3, 3, n)[:, 1]):
+                assert not view.flags.c_contiguous
+                self.assert_exact(inst, view)
+            assert np.array_equal(pop, before)
 
     @pytest.mark.parametrize("n", [9, 40])
     def test_rows_past_the_first_inverted_span(self, n):
         # the one inverse scatter then covers more than _CHUNK_CELLS cells, a
         # batch (7283 rows at n=9) far larger than any caller sends
-        self.assert_exact(*self.random_case(n, _CHUNK_CELLS // n + 2, True, seed=n))
+        self.assert_exact(*self.random_case(n, _CHUNK_CELLS // n + 2, np.int32, seed=n))
 
     def test_overflow_in_a_later_chunk_raises(self):
         # n = 25/16 of isqrt(_CHUNK_CELLS) has three facility blocks (rows 0-162,
@@ -548,14 +558,9 @@ class TestSwapDelta:
     def test_row_batched_deltas_match_swap_delta(self):
         from qapga.instance import _swap_deltas
         rng = np.random.default_rng(98)
-        for fits in (True, False):
+        for tier in TIERS:  # true costs far below each tier's worst case
             n = 8
-            inst = random_instance(n, 40, rng=rng)
-            if not fits:  # worst case beyond int64, true costs far below it
-                flow = inst.flow.copy()
-                flow[0, 0] = 2**56
-                inst = Instance("edge", n, flow, inst.dist)
-            assert inst.fits_int64 is fits
+            inst = tiered("edge", *(rng.integers(0, 41, size=(n, n)) for _ in range(2)), tier)
             perms = np.stack([rng.permutation(n) for _ in range(30)])
             ab = np.stack([rng.choice(n, 2, replace=False) for _ in range(30)])
             deltas = _swap_deltas(inst, perms, ab[:, 0], ab[:, 1])
@@ -713,17 +718,13 @@ class TestSwapDeltaRows:
     """_swap_deltas against full evaluation of each row before and after its swap"""
 
     @staticmethod
-    def random_case(n, m, fits, seed):
+    def random_case(n, m, tier, seed):
         # asymmetric matrices with a nonzero diagonal; over budget, the true
         # costs still fit int64, so _costs can price both sides
         rng = np.random.default_rng(seed)
         flow, dist = (rng.integers(1, 100, size=(n, n)) for _ in range(2))
         flow[0, 1] = flow[1, 0] + 1  # never symmetric
-        if not fits:
-            flow[0, 0] = 2**40
-            dist[0, -1] = 2**30
-        inst = Instance("rows", n, flow, dist)
-        assert inst.fits_int64 is fits
+        inst = tiered("rows", flow, dist, tier)
         perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
         a = rng.integers(0, n, m)
         b = (a + rng.integers(1, n, m)) % n
@@ -742,18 +743,19 @@ class TestSwapDeltaRows:
         assert [int(d) for d in got] == want.tolist()
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(2, 12), m=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_change_in_full_cost(self, n, m, seed):
-        self.assert_deltas(*self.random_case(n, m, True, seed))
+    @given(n=st.integers(2, 12), m=st.integers(1, 100), tier=st.sampled_from(TIERS[:2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_change_in_full_cost(self, n, m, tier, seed):
+        self.assert_deltas(*self.random_case(n, m, tier, seed))
 
     @settings(max_examples=50, deadline=None)
     @given(n=st.integers(2, 12), m=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
     def test_equals_the_change_in_full_cost_over_budget(self, n, m, seed):
-        self.assert_deltas(*self.random_case(n, m, False, seed))
+        self.assert_deltas(*self.random_case(n, m, object, seed))
 
-    @pytest.mark.parametrize("fits", [True, False])
-    def test_strided_and_int32_perms(self, fits):
-        inst, perms, a, b = self.random_case(9, 40, fits, seed=7)
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_strided_and_int32_perms(self, tier):
+        inst, perms, a, b = self.random_case(9, 40, tier, seed=7)
         assert not perms[::2].flags.c_contiguous
         for rows in (perms[::2], perms[::2].astype(np.int32)):
             self.assert_deltas(inst, rows, a[::2], b[::2])
@@ -773,13 +775,17 @@ class TestTransposes:
     def test_copies_keep_read_only_transposes(self, round_trip):
         rng = np.random.default_rng(6)
         small, big = random_instance(6, 50, rng=rng), random_instance(6, 1000, rng=rng)
-        flow = big.flow.copy()
-        flow[0, 0] = 2**50  # worst case beyond int64: the kernels run on Python integers
-        over = Instance("over", 6, flow, big.dist)
-        assert small.fits_int64 and not over.fits_int64
+        assert small._exact[0].dtype == np.int32
+        tiers = [small]
+        # worst case beyond int32: int64 operands; beyond int64: Python integers
+        for top, tier in ((2**24, np.int64), (2**50, object)):
+            flow = big.flow.copy()
+            flow[0, 0] = top
+            tiers.append(Instance("wide", 6, flow, big.dist))
+            assert tiers[-1]._exact[0].dtype == tier
         perms = np.stack([rng.permutation(6) for _ in range(20)])
         a, b = np.array([rng.choice(6, 2, replace=False) for _ in range(20)]).T
-        for inst in (small, over):
+        for inst in tiers:
             twin = round_trip(inst)
             assert twin == inst and twin.fits_int64 is inst.fits_int64
             for label in ("flow", "dist", "flow_t", "dist_t"):
@@ -793,3 +799,98 @@ class TestTransposes:
     def test_repr_and_equality_ignore_transposes(self, tiny3):
         assert "_t" not in repr(tiny3)
         assert tiny3 == Instance(tiny3.name, tiny3.n, tiny3.flow, tiny3.dist)
+
+
+class TestInt32Edge:
+    """The int32 tier up to its budget, n^2 * max(flow) * max(dist) <= 2**31 - 1:
+    _costs, swap_delta and exhaustive_optimum against Python-integer double sums"""
+
+    @staticmethod
+    def tops(n):
+        """The largest maxima of flow and dist, about equal, that the int32 budget allows at n"""
+        top_f = isqrt((2**31 - 1) // (n * n))
+        return top_f, (2**31 - 1) // (n * n * top_f)
+
+    def edge_matrices(self, n, rng):
+        """Entries of 0 or near the tops, so that rows differ by up to the maximum: the
+        swap-delta terms are then near 2 * max(flow) * max(dist), half the budget at n=2"""
+        return [np.where(rng.random((n, n)) < 0.5, 0, top - rng.integers(0, 2, (n, n)))
+                for top in self.tops(n)]
+
+    @staticmethod
+    def assert_exact(inst, perms, swaps):
+        """_costs on perms, swap_delta on their first swaps rows and, up to n=7, the
+        oracle over every permutation, each against the double sum"""
+        n = inst.n
+        flow, dist = inst.flow.tolist(), inst.dist.tolist()
+        assert inst._exact[0].dtype == np.int32
+        ref = [double_sum_cost(flow, dist, p) for p in perms.tolist()]
+        assert _costs(inst, perms).tolist() == ref
+        for p, cost, (i, k) in zip(perms, ref, swaps):
+            q = p.copy()
+            q[[i, k]] = q[[k, i]]
+            assert swap_delta(inst, p, cost, i, k) == double_sum_cost(flow, dist, q.tolist())
+        if n <= 7:
+            every = list(permutations(range(n)))
+            costs = [double_sum_cost(flow, dist, p) for p in every]
+            best = exhaustive_optimum(inst)
+            assert best.optimum == min(costs) <= 2**31 - 1
+            assert tuple(best.argmin.tolist()) == every[costs.index(min(costs))]
+
+    # n * n * top: 2**31 - 1 (n=1, one permutation of exactly that cost) and 2**31 - 4
+    # (n=2) run in int32; 2**31 in int64
+    @pytest.mark.parametrize("n, top, tier", [
+        (1, 2**31 - 1, np.int32), (1, 2**31, np.int64),
+        (2, 2**29 - 1, np.int32), (2, 2**29, np.int64)])
+    def test_tier_boundary(self, n, top, tier):
+        flow = np.ones((n, n), np.int64)
+        flow[0, 0] = top
+        inst = Instance("edge", n, flow, np.ones((n, n), np.int64))
+        assert inst.fits_int64 and inst._exact[0].dtype == inst.flow_t.dtype == tier
+        assert inst.flow.dtype == inst.dist.dtype == np.int64
+        cost = top + n * n - 1
+        assert evaluate_cost(inst, np.arange(n)) == cost
+        assert exhaustive_optimum(inst).optimum == cost
+
+    # n = 2 and 3 bring the swap-delta terms closest to the budget; n = 7 has
+    # prefix and cross parts in the oracle; the last n has two facility blocks
+    @pytest.mark.parametrize("n", [2, 3, 7, 12, isqrt(_CHUNK_CELLS) + 1])
+    def test_kernels_match_the_double_sum(self, n):
+        rng = np.random.default_rng(n)
+        inst = Instance("edge", n, *self.edge_matrices(n, rng))
+        perms = rng.permuted(np.tile(np.arange(n), (12, 1)), axis=1)
+        swaps = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(6)]
+        self.assert_exact(inst, perms, swaps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, isqrt(_CHUNK_CELLS) + 1])
+    def test_every_cost_at_the_worst_case(self, n):
+        # every entry at its top: each cost is the worst case, within n * n * top_f of 2**31
+        top_f, top_d = self.tops(n)
+        inst = Instance("top", n, np.full((n, n), top_f), np.full((n, n), top_d))
+        worst = n * n * top_f * top_d
+        assert 2**31 - 1 - n * n * top_f < worst <= 2**31 - 1
+        rng = np.random.default_rng(n)
+        perms = rng.permuted(np.tile(np.arange(n), (5, 1)), axis=1)
+        assert _costs(inst, perms).tolist() == [worst] * 5
+        if n > 1:
+            assert swap_delta(inst, perms[0], worst, 0, n - 1) == worst
+        if n <= 7:
+            assert exhaustive_optimum(inst).optimum == worst
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_instance_within_the_budget(self, data):
+        # n <= 6 lets the oracle check every permutation; from n = 6 it has a prefix
+        n = data.draw(st.integers(1, 6), label="n")
+        top_f = data.draw(st.integers(1, (2**31 - 1) // (n * n)), label="max(flow)")
+
+        def matrix(top):
+            cells = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+            return np.array(data.draw(st.lists(cells, min_size=n * n, max_size=n * n)),
+                            np.int64).reshape(n, n)
+
+        inst = Instance("edge", n, matrix(top_f), matrix((2**31 - 1) // (n * n * top_f)))
+        perms = np.array(data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=8)))
+        pairs = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        swaps = data.draw(st.lists(pairs, max_size=len(perms))) if n > 1 else []
+        self.assert_exact(inst, perms, swaps)
