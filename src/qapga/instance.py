@@ -352,6 +352,9 @@ def _swap_deltas(
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
     """Cost after exchanging p[i] and p[k], in O(n) given the current cost (an int64 scalar)."""
     p = check_permutation(p, inst.n)
+    for name, index in (("i", i), ("k", k)):
+        if isinstance(index, bool) or not isinstance(index, Integral):
+            raise ValueError(f"facility index {name} must be an integer, got {index!r}")
     if not (0 <= i < inst.n and 0 <= k < inst.n):
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:

@@ -618,6 +618,17 @@ class TestSwapDelta:
         with pytest.raises(ValueError, match="current cost"):
             swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
 
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None])
+    def test_rejects_a_facility_index_that_is_not_an_integer(self, tiny3, index):
+        with pytest.raises(ValueError, match="facility index i must be an integer"):
+            swap_delta(tiny3, np.array([0, 1, 2]), 64, index, 2)
+        with pytest.raises(ValueError, match="facility index k must be an integer"):
+            swap_delta(tiny3, np.array([0, 1, 2]), 64, 2, index)
+
+    def test_accepts_numpy_integer_indices(self, tiny3):
+        assert swap_delta(tiny3, np.array([0, 1, 2]), 64, np.int64(0), np.int32(1)) == \
+            evaluate_cost(tiny3, np.array([1, 0, 2]))
+
     def test_rejects_equal_indices(self, tiny3):
         with pytest.raises(ValueError, match="distinct"):
             swap_delta(tiny3, np.array([0, 1, 2]), 64, 1, 1)
