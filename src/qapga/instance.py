@@ -154,14 +154,6 @@ def check_permutation(p: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def _position(data: bytes, offset: int) -> str:
-    """'line:col' of the byte at offset in data (col counts bytes); only error
-    messages need it, so it counts the line breaks before offset."""
-    line = data.count(b"\n", 0, offset) + 1
-    col = offset - data.rfind(b"\n", 0, offset)
-    return f"{line}:{col}"
-
-
 def read_number(kind: type, text: str):
     """text as a kind value: an int is ASCII -?[0-9]+, a float is what float() takes minus
     underscores, surrounding whitespace and non-ASCII characters; a str passes; else ValueError."""
@@ -169,6 +161,46 @@ def read_number(kind: type, text: str):
             not text.isascii() or "_" in text or text != text.strip()):
         raise ValueError(f"invalid {kind.__name__} value: {text!r}")
     return kind(text)
+
+
+def _check_tokens(data: bytes) -> None:
+    """Raise ParseError on the first bad token of data, in parse_qaplib's order:
+    a bad header, else the first bad matrix entry, else a short count, else the
+    first trailing token.  Returns if there is none."""
+    tokens = re.finditer(rb"\S+", data)  # in a bytes pattern, \s is the six ASCII bytes
+
+    def where(m: re.Match) -> tuple[str, str]:
+        """Text and 'line:col' of token m (col counts bytes), for error messages."""
+        at = m.start()
+        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        return m[0].decode(errors="replace"), f"{line}:{col}"
+
+    head = next(tokens, None)
+    if head is None:
+        raise ParseError("unexpected end of input: expected instance size n")
+    tok, pos = where(head)
+    try:
+        n = read_number(int, tok)
+    except ValueError:
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n") from None
+    if n < 1:
+        raise ParseError(f"instance size must be positive, got {n} at {pos}")
+    size, found = 2 * n * n, 0
+    for found, m in zip(range(1, size + 1), tokens):  # the range ends first: no token lost
+        raw = m[0]
+        if raw.isdigit() and int(raw) <= INT64_MAX:
+            continue
+        tok, pos = where(m)
+        if raw.isdigit():
+            raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
+        if raw[:1] == b"-" and raw[1:].isdigit():
+            raise ParseError(f"negative matrix entry {tok} at {pos}")
+        raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
+    if found < size:
+        raise ParseError(f"expected {size} matrix entries, found {found}")
+    if (extra := next(tokens, None)) is not None:
+        tok, pos = where(extra)
+        raise ParseError(f"trailing garbage {tok!r} at {pos}")
 
 
 def parse_qaplib(text: str | bytes, name: str = "") -> Instance:
@@ -181,63 +213,23 @@ def parse_qaplib(text: str | bytes, name: str = "") -> Instance:
     line:column: a bad header, else the first bad matrix entry, else a short
     count, else the first trailing token.
 
-    One numpy pass over the bytes finds every token's start and end offset.
-    A matrix entry of at most 18 digits always fits int64, so only longer
-    entries and entries holding a byte other than a digit get the exact check;
-    the rest are converted by one np.fromstring over the body, which must see
-    no unchecked token, as it saturates values beyond int64 silently.
+    A stream of digits and whitespace is read whole, header included, by one
+    np.fromstring, and accepted when n >= 1, the count is 1 + 2n^2 and every
+    value is below 2^63 - 1: np.fromstring saturates a value past int64 at
+    2^63 - 1, so the last check lets no wrong value through.  Only a stream
+    that fails a check has its tokens scanned, to name the first bad one; if
+    none is bad (an entry of exactly 2^63 - 1), the values read stand.
     """
     data = text.encode() if isinstance(text, str) else text
-    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
-    # a byte of a token: neither space nor \t \n \v \f \r (bytes 9..13)
-    word = (buf != 32) & ((buf - 9) > 4)
-    edges = np.flatnonzero(word[1:] != word[:-1])
-    starts, ends = edges[0::2], edges[1::2]  # offsets into data, ends exclusive
-    count = len(starts)
-
-    def token(k: int) -> tuple[str, str]:
-        """Text and 'line:col' of token k, for error messages."""
-        start = int(starts[k])
-        return data[start : ends[k]].decode(errors="replace"), _position(data, start)
-
-    if not count:
-        raise ParseError("unexpected end of input: expected instance size n")
-    head, pos = token(0)
-    try:
-        n = read_number(int, head)
-    except ValueError:
-        raise ParseError(f"malformed token {head!r} at {pos}: expected instance size n") from None
-    if n < 1:
-        raise ParseError(f"instance size must be positive, got {n} at {pos}")
-
-    size = 2 * n * n
-    found = min(size, count - 1)  # body tokens are 1..found
-    suspects = np.flatnonzero(ends[1 : found + 1] - starts[1 : found + 1] > 18) + 1
-    if data.translate(None, b"0123456789 \t\n\v\f\r"):
-        # bytes that are neither digits nor whitespace, as data offsets, and their tokens
-        odd = np.flatnonzero(word & ((buf - 48) > 9)) - 1
-        owner = np.searchsorted(starts, odd, side="right") - 1
-        suspects = np.union1d(suspects, owner[(owner >= 1) & (owner <= found)])
-    for k in suspects.tolist():
-        raw = data[starts[k] : ends[k]]
-        if raw.isdigit() and int(raw) <= INT64_MAX:
-            continue
-        tok, pos = token(k)
-        if raw.isdigit():
-            raise ParseError(f"matrix entry {tok} at {pos} exceeds signed 64-bit range")
-        if raw[:1] == b"-" and raw[1:].isdigit():
-            raise ParseError(f"negative matrix entry {tok} at {pos}")
-        raise ParseError(f"malformed token {tok!r} at {pos}: expected matrix entry")
-    if found < size:
-        raise ParseError(f"expected {size} matrix entries, found {found}")
-    if count > 1 + size:
-        tok, pos = token(1 + size)
-        raise ParseError(f"trailing garbage {tok!r} at {pos}")
-
-    values = np.fromstring(data[starts[1] : ends[size]], dtype=np.int64, sep=" ")
-    return Instance(
-        name=name, n=n, flow=values[: n * n].reshape(n, n), dist=values[n * n :].reshape(n, n)
-    )
+    values = np.empty(0, dtype=np.int64)
+    # whitespace alone goes to the scan: np.fromstring reads it as [0] (numpy 2)
+    if not data.isspace() and not data.translate(None, b"0123456789 \t\n\v\f\r"):
+        values = np.fromstring(data, dtype=np.int64, sep=" ")
+    n = int(values[0]) if values.size else 0
+    if not (n >= 1 and values.size == 1 + 2 * n * n and values.max() < INT64_MAX):
+        _check_tokens(data)  # any other byte makes a bad token, so this raises
+    flow, dist = values[1:].reshape(2, n, n)
+    return Instance(name=name, n=n, flow=flow, dist=dist)
 
 
 def render_qaplib(inst: Instance) -> str:
@@ -359,6 +351,8 @@ def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> i
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
+    if np.asarray(current).dtype.kind == "b":
+        raise ValueError(f"current cost must be an integer, got {current!r}")
     current = _as_int64("current cost", current)
     if current.ndim:
         raise ValueError(f"current cost must be a scalar, got shape {current.shape}")

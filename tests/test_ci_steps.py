@@ -40,7 +40,7 @@ CASES = {
     # no crossover and every child mutated: each child is priced by a swap delta
     "nug12-swap-only": (None, "solve data/qaplib/nug12.dat --generations 50 --cx-rate 0 "
                         "--mut-rate 1 --seed 1", ["cost: 600", "evaluations: 5100"]),
-    # the parser's token bounds and np.fromstring on CRLF line ends and tabs
+    # the parser's bulk read (one np.fromstring) on CRLF line ends and tabs
     "rand100-crlf-tabs": (dict(n=100, tier=np.int32, crlf_tabs=True),
                           "solve rand100.dat --generations 5 --seed 1",
                           ["cost: 24771956", "evaluations: 525"]),

@@ -265,6 +265,61 @@ class TestParseAgainstReference:
     def test_same_instance_or_message(self, text):
         assert self.outcome(parse_qaplib, text) == self.outcome(_reference_parse, text)
 
+    @pytest.mark.parametrize("text, expected", [
+        (f"1\n{2**63 - 1}\n5", (1, [2**63 - 1], [5])),
+        (f"1\n{2**63}\n5", f"matrix entry {2**63} at 2:1 exceeds signed 64-bit range"),
+        (f"1\n{'0' * 24}7\n5", (1, [7], [5])),
+        (f"{'0' * 19}1\n3\n5", (1, [3], [5])),
+        (" \t\n\v\f\r", "unexpected end of input: expected instance size n"),
+        (b"1\n3\n5\n9\x1c9", "trailing garbage '9\\x1c9' at 4:1"),
+    ], ids=["int64-max", "int64-max-plus-one", "zero-padded-entry", "zero-padded-header",
+            "whitespace-only", "odd-byte-in-trailing-token"])
+    def test_bulk_read_boundaries(self, text, expected):
+        assert self.outcome(parse_qaplib, text) == self.outcome(_reference_parse, text) == expected
+
+
+def test_fromstring_saturates_past_int64():
+    """parse_qaplib's bulk read relies on np.fromstring reading a value past int64
+    as 2^63 - 1, so that its values.max() < 2^63 - 1 check catches it."""
+    values = np.fromstring(b"9223372036854775808 99999999999999999999", dtype=np.int64, sep=" ")
+    assert values.tolist() == [2**63 - 1, 2**63 - 1]
+
+
+class TestBulkRead:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The names of the np.fromstring, Instance and token-scan calls that
+        parse_qaplib makes, in order; the first argument of np.fromstring too."""
+        import qapga.instance as module
+
+        calls = []
+        for owner, name in ((np, "fromstring"), (module, "Instance"), (module, "_check_tokens")):
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls.append((_name, args[0]) if _name == "fromstring" else _name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_a_valid_stream_is_one_conversion(self, calls):
+        text = render_qaplib(random_instance(9, 99, rng=np.random.default_rng(3))).encode()
+        data = b"\r\n" + text.replace(b" ", b"\t\v")
+        parse_qaplib(data)
+        assert calls == [("fromstring", data), "Instance"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1\n3\nx", ["_check_tokens"]),
+        ("0\n3\n5", [("fromstring", b"0\n3\n5"), "_check_tokens"]),
+        ("1\n3\n5\n7", [("fromstring", b"1\n3\n5\n7"), "_check_tokens"]),
+        (f"1\n3\n{2**63 - 1}", [("fromstring", f"1\n3\n{2**63 - 1}".encode()), "_check_tokens",
+                                "Instance"]),
+    ], ids=["odd-byte", "n-below-one", "wrong-count", "int64-max"])
+    def test_the_scan_runs_only_after_a_failed_check(self, calls, text, expected):
+        try:
+            parse_qaplib(text)
+        except ParseError:
+            pass
+        assert calls == expected
+
 
 class TestEvaluateCost:
     def test_zero_flow_annihilates(self):
@@ -617,6 +672,16 @@ class TestSwapDelta:
     def test_rejects_a_current_cost_that_is_not_an_int64(self, tiny3, current):
         with pytest.raises(ValueError, match="current cost"):
             swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
+
+    @pytest.mark.parametrize("current", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_a_bool_current_cost(self, tiny3, current):
+        with pytest.raises(ValueError, match="current cost must be an integer, got"):
+            swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
+
+    @pytest.mark.parametrize("current", [64, np.int64(64), np.uint8(64)])
+    def test_accepts_an_integer_current_cost(self, tiny3, current):
+        assert swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1) == \
+            evaluate_cost(tiny3, np.array([1, 0, 2]))
 
     @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None])
     def test_rejects_a_facility_index_that_is_not_an_integer(self, tiny3, index):
