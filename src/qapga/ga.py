@@ -11,7 +11,7 @@ phase as one batched call over all pairs or children: roulette picks
 of the crossed pairs, position draws (_swap_positions) with O(n) swap deltas
 for mutated copies, and one exact evaluation of every child whose cost is
 unknown.  swap_mutation and roulette_select are one-row front ends over the
-same kernels, and Chromosome appears only as GaResult.best.
+same kernels; Chromosome appears only in roulette_select and as GaResult.best.
 
 Determinism contract
 --------------------
@@ -145,11 +145,13 @@ def config_to_text(cfg: GaConfig) -> str:
 
 @dataclass
 class GaResult:
+    """One run's outcome; == compares all but wall_time_s, so it checks a replay."""
+
     best: Chromosome
     generations_run: int
     full_evaluations: int  # whole-permutation costs, the initial population included
     delta_evaluations: int  # O(n) swap deltas of mutated verbatim copies
-    wall_time_s: float
+    wall_time_s: float = field(compare=False)
     history: list[int]
 
     @property
@@ -157,9 +159,9 @@ class GaResult:
         """All cost evaluations, full and delta."""
         return self.full_evaluations + self.delta_evaluations
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        """Serializable view; drop timing for determinism comparisons."""
-        d = {
+    def to_dict(self) -> dict:
+        """Serializable view."""
+        return {
             "best_perm": self.best.perm.tolist(),
             "best_cost": self.best.cost,
             "generations_run": self.generations_run,
@@ -167,10 +169,8 @@ class GaResult:
             "full_evaluations": self.full_evaluations,
             "delta_evaluations": self.delta_evaluations,
             "history": list(self.history),
+            "wall_time_s": self.wall_time_s,
         }
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
 
 def init_population(
@@ -290,11 +290,11 @@ def evolve_step(
     costs: np.ndarray,
     cfg: GaConfig,
     rng: np.random.Generator,
-    _counter: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """One generation: elitist survivors plus roulette/crossover/mutation offspring.
 
-    Takes and returns the population as perms (P, n) and costs (P,).  One
+    Takes the population as perms (P, n) and costs (P,), and returns the next
+    one with the number of full and of delta cost evaluations it took.  One
     gather of the elite rows and the roulette-picked parents builds the next
     population, and the children are its tail: rows 2i and 2i+1 of the tail
     start as verbatim copies of pair i's parents.  Each phase is one batched
@@ -302,8 +302,7 @@ def evolve_step(
     index: order crossover on the rows of the crossed pairs, then swaps on
     the mutated rows.  Crossover children are cost-evaluated in one batch;
     a mutated verbatim copy reuses its parent's cost through an O(n) swap
-    delta instead.  If _counter is given, its two elements are incremented
-    by the number of full and of delta cost evaluations performed.
+    delta instead.
     """
     pop_size = cfg.population_size
     if len(perms) != pop_size or len(costs) != pop_size:
@@ -356,10 +355,7 @@ def evolve_step(
     ordered = children.copy()
     ordered.sort(axis=1)
     assert (ordered == np.arange(n)).all()
-    if _counter is not None:
-        _counter[0] += full
-        _counter[1] += delta
-    return next_perms[:pop_size], next_costs[:pop_size]
+    return next_perms[:pop_size], next_costs[:pop_size], full, delta
 
 
 def run(inst: Instance, cfg: GaConfig) -> GaResult:
@@ -367,7 +363,7 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     rng = np.random.default_rng(cfg.rng_seed)
     start = time.perf_counter()
     perms, costs = init_population(inst, cfg.population_size, rng)
-    counter = [cfg.population_size, 0]  # [full evaluations, delta evaluations]
+    full, delta = cfg.population_size, 0
 
     i = int(np.argmin(costs))
     best_perm, best_cost = perms[i], int(costs[i])
@@ -382,7 +378,8 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
         return False
 
     while generations < cfg.max_generations and not done():
-        perms, costs = evolve_step(inst, perms, costs, cfg, rng, counter)
+        perms, costs, step_full, step_delta = evolve_step(inst, perms, costs, cfg, rng)
+        full, delta = full + step_full, delta + step_delta
         generations += 1
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
@@ -392,8 +389,8 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     return GaResult(
         best=Chromosome(best_perm, best_cost),
         generations_run=generations,
-        full_evaluations=counter[0],
-        delta_evaluations=counter[1],
+        full_evaluations=full,
+        delta_evaluations=delta,
         wall_time_s=time.perf_counter() - start,
         history=history,
     )

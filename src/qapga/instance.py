@@ -56,9 +56,10 @@ class CostOverflowError(QapError):
 
 
 def _as_int64(label: str, m) -> np.ndarray:
-    """m as int64; non-integral, negative or too large (uint, float) entries are errors."""
+    """m as int64.  A bool array is an error, not 0s and 1s, and so are non-integral,
+    negative or too large (uint, float) entries."""
     m = np.asarray(m)
-    if m.dtype.kind not in "biuf":
+    if m.dtype.kind not in "iuf":
         raise ValueError(f"{label} must hold integers, got dtype {m.dtype}")
     if m.dtype.kind == "f" and not (np.isfinite(m) & (m == np.trunc(m))).all():
         raise ValueError(f"{label} has non-integral entries")
@@ -351,8 +352,6 @@ def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> i
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:
         raise ValueError("swap requires two distinct facilities")
-    if np.asarray(current).dtype.kind == "b":
-        raise ValueError(f"current cost must be an integer, got {current!r}")
     current = _as_int64("current cost", current)
     if current.ndim:
         raise ValueError(f"current cost must be a scalar, got shape {current.shape}")

@@ -151,9 +151,7 @@ def test_criterion_09_determinism():
     rng = np.random.default_rng(909)
     inst = random_instance(9, 30, rng=rng, name="det9")
     cfg = GaConfig(max_generations=200, rng_seed=4242)
-    a = run(inst, cfg).to_dict(include_timing=False)
-    b = run(inst, cfg).to_dict(include_timing=False)
-    assert a == b
+    assert run(inst, cfg) == run(inst, cfg)
 
     opt = exhaustive_optimum(inst).optimum
     baselines = load_baselines(f"name,best_known,source\ndet9,{opt},oracle\n")

@@ -154,14 +154,16 @@ class TestRunSuite:
         assert run_calls == [3, 1, 2] and row.seeds_run == 3
 
     def test_two_jobs_give_the_rows_of_one(self, nug12):
-        # the inputs of the workflow's `bench --jobs 2` step; rows compared whole
-        # but for their timings (per_seed_time_s does not take part in ==)
+        # the inputs and pins of the workflow's `bench --jobs 2` step; rows compared
+        # whole but for their timings (per_seed_time_s does not take part in ==)
         baselines = load_baselines(BASELINES_CSV.read_text())
         cfg = GaConfig(max_generations=20)
         serial, pooled = (run_suite([nug12], baselines, cfg, [1, 2], jobs=jobs)
                           for jobs in (1, 2))
         assert [replace(r, total_time_s=0.0) for r in pooled] == \
             [replace(r, total_time_s=0.0) for r in serial]
+        (row,) = pooled
+        assert (row.best_found, row.gap, row.generations) == (628, 0.086505, 40)
 
     def test_importing_qapga_does_not_load_the_process_pool(self):
         # run_suite imports it only when jobs > 1: it adds about 0.8 MB of RSS

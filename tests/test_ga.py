@@ -296,7 +296,7 @@ class TestEvolveStep:
         cfg = GaConfig(population_size=10, crossover_rate=0.0, mutation_rate=0.0,
                        elitism_count=9)
         perms, costs = init_population(inst, 10, rng)
-        nxt_perms, nxt_costs = evolve_step(inst, perms, costs, cfg, rng)
+        nxt_perms, nxt_costs, _, _ = evolve_step(inst, perms, costs, cfg, rng)
         current = {tuple(p.tolist()) for p in perms}
         assert len(nxt_perms) == 10
         assert all(tuple(p.tolist()) in current for p in nxt_perms)
@@ -312,7 +312,7 @@ class TestEvolveStep:
         perms, costs = init_population(inst, 20, rng)
         for _ in range(30):
             best_before = min(costs)
-            perms, costs = evolve_step(inst, perms, costs, cfg, rng)
+            perms, costs, _, _ = evolve_step(inst, perms, costs, cfg, rng)
             assert min(costs) <= best_before
 
     def test_costs_stay_consistent(self):
@@ -321,7 +321,7 @@ class TestEvolveStep:
         cfg = GaConfig(population_size=30)
         perms, costs = init_population(inst, 30, rng)
         for _ in range(20):
-            perms, costs = evolve_step(inst, perms, costs, cfg, rng)
+            perms, costs, _, _ = evolve_step(inst, perms, costs, cfg, rng)
             for perm, cost in zip(perms, costs):
                 check_permutation(perm, inst.n)
                 assert cost == evaluate_cost(inst, perm)
@@ -406,9 +406,7 @@ class TestRun:
         rng = np.random.default_rng(43)
         inst = random_instance(9, 25, rng=rng)
         cfg = GaConfig(max_generations=150, rng_seed=1234)
-        a = run(inst, cfg).to_dict(include_timing=False)
-        b = run(inst, cfg).to_dict(include_timing=False)
-        assert a == b
+        assert run(inst, cfg) == run(inst, cfg)
 
     def test_finds_optimum_on_small_instance(self):
         rng = np.random.default_rng(44)
@@ -514,11 +512,10 @@ class TestEvolveStepEvaluations:
         inst = random_instance(8, 10, rng=rng)
         cfg = GaConfig(population_size=20, crossover_rate=cx_rate, mutation_rate=1.0)
         perms, costs = init_population(inst, 20, rng)
-        counter = [0, 0]
-        perms, costs = evolve_step(inst, perms, costs, cfg, rng, counter)
+        perms, costs, full, delta = evolve_step(inst, perms, costs, cfg, rng)
         assert calls == [20] + [20] * full_calls  # init_population, then the children
         # 10 pairs: 20 children priced, all in full or all by delta
-        assert counter == [20 * full_calls, 20 - 20 * full_calls]
+        assert (full, delta) == (20 * full_calls, 20 - 20 * full_calls)
         assert costs.tolist() == [evaluate_cost(inst, p) for p in perms]
 
 
@@ -533,7 +530,7 @@ class TestEvaluationSplit:
         # copy, priced by one delta (the odd one out is priced, then dropped)
         assert res.delta_evaluations == 15 * 20
         assert res.evaluations == res.full_evaluations + res.delta_evaluations
-        d = res.to_dict(include_timing=False)
+        d = res.to_dict()
         assert (d["full_evaluations"], d["delta_evaluations"], d["evaluations"]) == (
             res.full_evaluations, res.delta_evaluations, res.evaluations)
 

@@ -21,6 +21,7 @@ from qapga import (
     evaluate_cost,
     parse_qaplib,
     render_qaplib,
+    selection_weights,
     swap_delta,
 )
 from qapga.instance import _CHUNK_CELLS, _costs, _swap_deltas, check_permutation, read_number
@@ -675,7 +676,7 @@ class TestSwapDelta:
 
     @pytest.mark.parametrize("current", [True, np.True_], ids=["bool", "numpy-bool"])
     def test_rejects_a_bool_current_cost(self, tiny3, current):
-        with pytest.raises(ValueError, match="current cost must be an integer, got"):
+        with pytest.raises(ValueError, match="current cost must hold integers"):
             swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1)
 
     @pytest.mark.parametrize("current", [64, np.int64(64), np.uint8(64)])
@@ -701,6 +702,27 @@ class TestSwapDelta:
     def test_rejects_out_of_range(self, tiny3):
         with pytest.raises(IndexError):
             swap_delta(tiny3, np.array([0, 1, 2]), 64, 0, 3)
+
+
+TWO = Instance("two", 2, np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]]))
+# each public entry point that reads an integer array, fed a bool array b, and the
+# label its error names
+BOOL_INPUTS = {
+    "check_permutation": (lambda b: check_permutation(b, 2), "permutation"),
+    "evaluate_cost": (lambda b: evaluate_cost(TWO, b), "permutation"),
+    "swap_delta": (lambda b: swap_delta(TWO, b, 1, 0, 1), "permutation"),
+    "selection_weights": (selection_weights, "costs"),
+    "Instance": (lambda b: Instance("bool", 2, np.eye(2, dtype=bool) | b, TWO.dist),
+                 "flow matrix"),
+}
+
+
+@pytest.mark.parametrize("entry", BOOL_INPUTS)
+def test_bool_arrays_are_not_integers(entry):
+    # [True, False] would otherwise read as the permutation [1, 0]
+    call, label = BOOL_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{label} must hold integers, got dtype bool$"):
+        call(np.array([True, False]))
 
 
 class TestInstanceInvariants:

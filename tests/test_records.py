@@ -49,7 +49,7 @@ def _chromosomes():
 def _ga_results():
     res = run(_inst(), GaConfig(population_size=4, max_generations=3, rng_seed=1))
     twin = replace(res, best=Chromosome(res.best.perm.copy(), res.best.cost),
-                   history=list(res.history))
+                   history=list(res.history), wall_time_s=res.wall_time_s + 1.0)
     return res, twin, replace(res, best=Chromosome(res.best.perm[::-1], res.best.cost))
 
 

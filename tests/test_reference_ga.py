@@ -47,12 +47,15 @@ def instance(n: int, tier) -> Instance:
 
 def observed(inst: Instance, cfg: GaConfig) -> dict:
     """What reference_run returns, from run() and, for the final population, from
-    init_population and evolve_step."""
-    result = run(inst, cfg).to_dict(include_timing=False)
+    init_population and evolve_step, whose counts must add up to run()'s."""
+    result = run(inst, cfg).to_dict()
     rng = np.random.default_rng(cfg.rng_seed)
     perms, costs = init_population(inst, cfg.population_size, rng)
+    full, delta = cfg.population_size, 0
     for _ in range(cfg.max_generations):
-        perms, costs = evolve_step(inst, perms, costs, cfg, rng)
+        perms, costs, step_full, step_delta = evolve_step(inst, perms, costs, cfg, rng)
+        full, delta = full + step_full, delta + step_delta
+    assert (full, delta) == (result["full_evaluations"], result["delta_evaluations"])
     keys = ("best_perm", "best_cost", "history", "full_evaluations", "delta_evaluations")
     return {**{key: result[key] for key in keys}, "perms": perms.tolist(), "costs": costs.tolist()}
 
