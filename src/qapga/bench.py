@@ -190,6 +190,8 @@ def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
         for idx, d in enumerate(records, start=1):
             if not isinstance(d, dict):
                 raise BenchError(f"record {idx}: expected a row object, got {type(d).__name__}")
+            if unknown := [key for key in d if key not in (*REPORT_HEADER, "per_seed_time_s")]:
+                raise BenchError(f"record {idx}: unknown key {unknown[0]!r}")
             values = [d.get(key) for key in REPORT_HEADER]
             for key, kind, v in zip(REPORT_HEADER, _REPORT_TYPES, values):
                 if not _is_json(kind, v):

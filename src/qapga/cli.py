@@ -112,13 +112,16 @@ def _load_instance(path: Path):
         raise ParseError(f"{path}: {e}") from None
 
 
+def _one_based(perm) -> str:
+    return " ".join(str(v + 1) for v in perm)
+
+
 def _cmd_solve(args, out) -> int:
     cfg = _config_from(args)
     inst = _load_instance(args.instance)
     result = run(inst, cfg)
-    perm_1based = " ".join(str(v + 1) for v in result.best.perm)
     print(f"instance: {inst.name} (n={inst.n})", file=out)
-    print(f"best permutation: {perm_1based}", file=out)
+    print(f"best permutation: {_one_based(result.best.perm)}", file=out)
     print(f"cost: {result.best.cost}", file=out)
     print(f"generations: {result.generations_run}", file=out)
     print(f"evaluations: {result.evaluations}", file=out)
@@ -171,10 +174,9 @@ def _cmd_oracle(args, out) -> int:
         raise _UsageError(f"bad --limit value {args.limit}: must be >= 1")
     inst = _load_instance(args.instance)
     result = exhaustive_optimum(inst, limit=args.limit)
-    perm_1based = " ".join(str(v + 1) for v in result.argmin)
     print(f"instance: {inst.name} (n={inst.n})", file=out)
     print(f"optimum: {result.optimum}", file=out)
-    print(f"argmin: {perm_1based}", file=out)
+    print(f"argmin: {_one_based(result.argmin)}", file=out)
     print(f"explored: {result.explored}", file=out)
     return 0
 

@@ -39,7 +39,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import Instance, _as_int64, _checked, _costs, _Record, _swap_deltas, read_number
+from .instance import (Instance, _as_int64, _checked, _costs, _is_permutation, _Record,
+                       _swap_deltas, read_number)
 
 log = logging.getLogger(__name__)
 
@@ -284,13 +285,8 @@ def roulette_select(
     return population[_pick(cum, rng.random())]
 
 
-def evolve_step(
-    inst: Instance,
-    perms: np.ndarray,
-    costs: np.ndarray,
-    cfg: GaConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+def evolve_step(inst: Instance, perms: np.ndarray, costs: np.ndarray, cfg: GaConfig,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int, int]:
     """One generation: elitist survivors plus roulette/crossover/mutation offspring.
 
     Takes the population as perms (P, n) and costs (P,), and returns the next
@@ -302,7 +298,8 @@ def evolve_step(
     index: order crossover on the rows of the crossed pairs, then swaps on
     the mutated rows.  Crossover children are cost-evaluated in one batch;
     a mutated verbatim copy reuses its parent's cost through an O(n) swap
-    delta instead.
+    delta instead.  perms holds permutations, as init_population and evolve_step
+    return them; every child is checked, and AssertionError raised, before any is priced.
     """
     pop_size = cfg.population_size
     if len(perms) != pop_size or len(costs) != pop_size:
@@ -347,14 +344,12 @@ def evolve_step(
         b += row
         genes[a], genes[b] = genes[b], genes[a]
 
+    if not _is_permutation(children):  # raised, not asserted, so it holds under python -O
+        raise AssertionError("evolve_step: a child is not a permutation of 0..n-1")
     if first.size:
         dirty = np.concatenate((first, second))
         child_costs[dirty] = _costs(inst, children.take(dirty, axis=0))
         full = dirty.size
-
-    ordered = children.copy()
-    ordered.sort(axis=1)
-    assert (ordered == np.arange(n)).all()
     return next_perms[:pop_size], next_costs[:pop_size], full, delta
 
 
@@ -371,11 +366,8 @@ def run(inst: Instance, cfg: GaConfig) -> GaResult:
     generations = 0
 
     def done():
-        if cfg.target_cost is not None and best_cost <= cfg.target_cost:
-            return True
-        if cfg.time_limit_s is not None and time.perf_counter() - start >= cfg.time_limit_s:
-            return True
-        return False
+        return (cfg.target_cost is not None and best_cost <= cfg.target_cost
+                or cfg.time_limit_s is not None and time.perf_counter() - start >= cfg.time_limit_s)
 
     while generations < cfg.max_generations and not done():
         perms, costs, step_full, step_delta = evolve_step(inst, perms, costs, cfg, rng)

@@ -148,11 +148,16 @@ def check_permutation(p: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"permutation has length {p.shape}, expected ({n},)")
     if (p >= n).any():
         raise ValueError("permutation entries out of range")
-    seen = np.zeros(n, dtype=bool)
-    seen[p] = True
-    if not seen.all():
+    if not _is_permutation(p):
         raise ValueError("permutation is not a bijection")
     return p
+
+
+def _is_permutation(perms: np.ndarray) -> bool:
+    """Whether each row along the last axis holds 0..n-1 exactly once, n the row length."""
+    ordered = perms.copy()
+    ordered.sort(axis=-1)
+    return bool((ordered == np.arange(perms.shape[-1])).all())
 
 
 def read_number(kind: type, text: str):
@@ -251,7 +256,8 @@ def _checked(costs: np.ndarray) -> np.ndarray:
 
 
 def _costs(inst: Instance, perms: np.ndarray) -> np.ndarray:
-    """Exact costs of the rows of perms (m, n), unvalidated, as int64 (m,).
+    """Exact costs of the rows of perms (m, n) as int64 (m,).  Rows are permutations,
+    checked or drawn as such by every caller: a non-bijective row leaves cells of inv unset.
 
     With q the inverse of a row p, cost(p) = sum_{i,l} dist[p[i], l] *
     flow[i, q[l]], the trace of dist[p] @ flow_t[q]: both factors are row
@@ -300,10 +306,9 @@ def _row_diff(m: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d
 
 
-def _swap_deltas(
-    inst: Instance, perms: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
+def _swap_deltas(inst: Instance, perms: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact cost change of exchanging perms[r, a[r]] and perms[r, b[r]], per row.
+    Rows are permutations; every caller checks them first.
 
     O(n) per row, no symmetry assumed: only terms touching facility a or b
     change.  With u = perms[r, a[r]] and v = perms[r, b[r]], the change in
@@ -355,6 +360,5 @@ def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> i
     current = _as_int64("current cost", current)
     if current.ndim:
         raise ValueError(f"current cost must be a scalar, got shape {current.shape}")
-    current = int(current)
     delta = int(_swap_deltas(inst, p[None], np.array([i]), np.array([k]))[0])
-    return int(_checked(np.array([current + delta], dtype=object))[0])
+    return int(_checked(np.array([int(current) + delta], dtype=object))[0])

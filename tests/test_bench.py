@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qapga
 from qapga import (
@@ -201,6 +203,10 @@ class TestRunSuite:
                 (rp.instance_name, rp.best_found, rp.gap, rp.generations)
 
 
+# a time as reports hold it, to 3 decimals
+SECONDS = st.floats(0, 10**6).map(lambda t: round(t, 3))
+
+
 class TestReports:
     def rows(self):
         return [
@@ -264,6 +270,31 @@ class TestReports:
             records[1][key] = value
             with pytest.raises(BenchError, match=f"record 2: .*'{key}'"):
                 parse_report(json.dumps(records), "json")
+
+    def test_json_refuses_an_unknown_key(self):
+        records = json.loads(emit_report(self.rows(), "json"))
+        records[1]["typo"] = 5
+        with pytest.raises(BenchError, match="^record 2: unknown key 'typo'$"):
+            parse_report(json.dumps(records), "json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(rows=st.lists(st.builds(
+        BenchRow,
+        # commas and quotes among printable ASCII and non-ASCII text, no control characters
+        st.text(st.sampled_from(",\"'") | st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+                | st.characters(min_codepoint=0xA0)),
+        st.integers(0, 10**12), st.integers(0, 10**12), st.integers(0, 10**12),
+        st.floats(-1, 1000).map(lambda gap: round(gap, 6)),
+        st.integers(0, 10**12),
+        SECONDS,
+        st.lists(SECONDS, max_size=4),
+    )))
+    def test_round_trip(self, fmt, rows):
+        parsed = parse_report(emit_report(rows, fmt), fmt)
+        assert parsed == rows
+        # per-seed times take no part in ==: JSON keeps them, CSV has no column for them
+        kept = [r.per_seed_time_s for r in rows] if fmt == "json" else [[]] * len(rows)
+        assert [r.per_seed_time_s for r in parsed] == kept
 
     def test_json_numbers_keep_column_types(self):
         records = json.loads(emit_report(self.rows(), "json"))

@@ -1,10 +1,15 @@
+import os
 import re
+import subprocess
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qapga
 from qapga import (
     Chromosome,
     CostOverflowError,
@@ -362,6 +367,53 @@ class TestEvolveStep:
         no_cx = GaConfig(population_size=20, crossover_rate=0.0)
         evolve_step(inst, perms, costs, no_cx, rng)
         assert calls["order_crossover_two_point"] == 1
+
+    def test_a_broken_child_is_refused_before_it_is_priced(self, monkeypatch):
+        # _costs inverts a row by a scatter, so a non-bijective row would leave
+        # cells unset for its next take to read
+        import qapga.ga as ga
+        error, priced = step_with_a_duplicated_gene(partial(monkeypatch.setattr, ga))
+        assert str(error) == BROKEN_CHILD and priced == []
+
+    def test_the_check_holds_under_python_O(self):
+        # a plain assert would be stripped by -O; the check raises explicitly
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(qapga.__file__))
+        code = ("import sys, qapga.ga, test_ga; error, priced = test_ga.step_with_a_duplicated_gene("
+                "lambda name, value: setattr(qapga.ga, name, value)); "
+                "print(sys.flags.optimize, priced, error, sep='|')")
+        out = subprocess.run([sys.executable, "-O", "-c", code], check=True, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))})
+        assert out.stdout.strip() == f"1|[]|{BROKEN_CHILD}"
+
+
+def step_with_a_duplicated_gene(patch):
+    """One evolve_step whose crossover sets gene 1 of every first child to its gene 0,
+    with patch(name, value) replacing qapga.ga globals and _costs spied on; returns
+    the AssertionError it raised and the batch sizes _costs was called with."""
+    import qapga.ga as ga
+    rng = np.random.default_rng(38)
+    inst = random_instance(12, 10, rng=rng)
+    perms, costs = init_population(inst, 20, rng)
+    real_cx, real_costs, priced = ga.order_crossover_two_point, ga._costs, []
+
+    def duplicating(*args):
+        c1, c2 = real_cx(*args)
+        c1[:, 1] = c1[:, 0]
+        return c1, c2
+
+    def spying(inst, perms):
+        priced.append(len(perms))
+        return real_costs(inst, perms)
+    patch("order_crossover_two_point", duplicating)
+    patch("_costs", spying)
+    cfg = GaConfig(population_size=20, crossover_rate=1.0, mutation_rate=0.0)
+    with pytest.raises(AssertionError) as raised:
+        evolve_step(inst, perms, costs, cfg, rng)
+    return raised.value, priced
+
+
+BROKEN_CHILD = "evolve_step: a child is not a permutation of 0..n-1"
 
 
 def overflow_on_swap():
