@@ -201,6 +201,8 @@ def order_crossover_two_point(p1, p2, cut1, cut2) -> tuple[np.ndarray, np.ndarra
     if cut1.shape != p1.shape[:-1] or cut2.shape != p1.shape[:-1]:
         raise ValueError(f"expected one cut pair per pair of parents, got {cut1.shape} cuts "
                          f"for parents of shape {p1.shape}")
+    if cut1.dtype.kind not in "iu" or cut2.dtype.kind not in "iu":
+        raise ValueError(f"cut points must be integers, got dtypes {cut1.dtype} and {cut2.dtype}")
     if not ((0 <= cut1) & (cut1 <= cut2) & (cut2 <= n)).all():
         raise ValueError(f"cut points out of range: ({cut1}, {cut2}) for n={n}")
     # cuts are validated 0 <= lo <= hi, so pos - lo wraps past hi - lo where pos < lo
@@ -228,6 +230,8 @@ def _swap_positions(n: int, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarra
 def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exchange two distinct, uniformly chosen positions of p."""
     q = np.array(p)
+    if q.ndim != 1:
+        raise ValueError(f"p must be one permutation (1-D), got shape {q.shape}")
     n = len(q)
     if n < 2:
         log.warning("swap mutation on length-%d permutation is a no-op", n)
@@ -289,22 +293,23 @@ def evolve_step(inst: Instance, perms: np.ndarray, costs: np.ndarray, cfg: GaCon
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int, int]:
     """One generation: elitist survivors plus roulette/crossover/mutation offspring.
 
-    Takes the population as perms (P, n) and costs (P,), and returns the next
-    one with the number of full and of delta cost evaluations it took.  One
-    gather of the elite rows and the roulette-picked parents builds the next
-    population, and the children are its tail: rows 2i and 2i+1 of the tail
-    start as verbatim copies of pair i's parents.  Each phase is one batched
-    call over all pairs or children, and writes to the children by row
-    index: order crossover on the rows of the crossed pairs, then swaps on
-    the mutated rows.  Crossover children are cost-evaluated in one batch;
-    a mutated verbatim copy reuses its parent's cost through an O(n) swap
-    delta instead.  perms holds permutations, as init_population and evolve_step
-    return them; every child is checked, and AssertionError raised, before any is priced.
+    Takes the population as int64 perms (P, n) and costs (P,), else ValueError,
+    and returns the next one with the number of full and of delta cost
+    evaluations it took.  One gather of the elite rows and the roulette-picked
+    parents builds the next population, and the children are its tail: rows 2i
+    and 2i+1 of the tail start as verbatim copies of pair i's parents.  Each
+    phase is one batched call that writes to the children by row index: order
+    crossover on the rows of the crossed pairs, then swaps on the mutated rows.
+    Every row of the next population, elite included, is then checked to be a
+    permutation, else AssertionError, before any row is priced.  Crossover
+    children are cost-evaluated in one batch; a mutated verbatim copy reuses
+    its parent's cost through an O(n) swap delta instead.
     """
-    pop_size = cfg.population_size
-    if len(perms) != pop_size or len(costs) != pop_size:
-        raise ValueError("population size does not match config")
-    n = inst.n
+    pop_size, n = cfg.population_size, inst.n
+    if (perms.shape, perms.dtype, costs.shape, costs.dtype) != (
+            (pop_size, n), np.int64, (pop_size,), np.int64):
+        raise ValueError(f"expected int64 perms {(pop_size, n)} and int64 costs {(pop_size,)}, got "
+                         f"{perms.dtype} perms {perms.shape} and {costs.dtype} costs {costs.shape}")
     elites = cfg.elitism_count
 
     cum = selection_weights(costs).cumsum()
@@ -326,31 +331,29 @@ def evolve_step(inst: Instance, perms: np.ndarray, costs: np.ndarray, cfg: GaCon
         children[first], children[second] = order_crossover_two_point(
             children.take(first, axis=0), children.take(second, axis=0), *cuts.T)
 
-    # mutations before evaluation, so crossover children need one batch;
-    # copies are swap-delta'd against their parent's cost first
-    delta = full = 0
+    # swaps before the check, and the check before either kernel reads a row
     coin, u_a, u_b = blocks[:, 5:].reshape(-1, 3).T  # one row per child
-    mutated = (coin < cfg.mutation_rate).nonzero()[0]
-    if n >= 2 and mutated.size:
-        a, b = _swap_positions(n, u_a[mutated], u_b[mutated])
-        copies = ~crossed[mutated >> 1]  # child k is of pair k >> 1
-        copied = mutated[copies]
-        deltas = _swap_deltas(inst, children.take(copied, axis=0), a[copies], b[copies])
-        child_costs[copied] = _checked(child_costs[copied] + deltas)
-        delta = copied.size
-        genes = children.reshape(-1)  # a view: children is a tail of the fresh gather
-        row = mutated * n
-        a += row
-        b += row
-        genes[a], genes[b] = genes[b], genes[a]
+    mutated = (coin < cfg.mutation_rate * (n >= 2)).nonzero()[0]  # coins are >= 0: none at n < 2
+    a, b = _swap_positions(n, u_a[mutated], u_b[mutated])
+    genes = children.reshape(-1)  # a view: children is a tail of the fresh gather
+    at_a, at_b = a + mutated * n, b + mutated * n
+    genes[at_a], genes[at_b] = genes[at_b], genes[at_a]
+    if not _is_permutation(next_perms):  # raised, not asserted, so it holds under python -O
+        raise AssertionError("evolve_step: a row of the next population is not a permutation of 0..n-1")
 
-    if not _is_permutation(children):  # raised, not asserted, so it holds under python -O
-        raise AssertionError("evolve_step: a child is not a permutation of 0..n-1")
+    # swapping a and b back restores a mutated copy's parent, so the copy's cost
+    # is the parent's minus that reverse delta, exactly in every tier
+    copies = ~crossed[mutated >> 1]  # child k is of pair k >> 1
+    copied = mutated[copies]
+    if copied.size:
+        deltas = _swap_deltas(inst, children.take(copied, axis=0), a[copies], b[copies])
+        child_costs[copied] = _checked(child_costs[copied] - deltas)
+    full = 0
     if first.size:
         dirty = np.concatenate((first, second))
         child_costs[dirty] = _costs(inst, children.take(dirty, axis=0))
         full = dirty.size
-    return next_perms[:pop_size], next_costs[:pop_size], full, delta
+    return next_perms[:pop_size], next_costs[:pop_size], full, copied.size
 
 
 def run(inst: Instance, cfg: GaConfig) -> GaResult:

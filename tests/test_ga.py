@@ -93,6 +93,13 @@ class TestCrossover:
         with pytest.raises(ValueError, match="cut"):
             order_crossover_two_point(p, p, 0, 5)
 
+    @pytest.mark.parametrize("cuts", [(1.5, 3.7), (False, True), (1.0, 3)])
+    def test_rejects_non_integer_cuts(self, cuts):
+        # a float cut would be truncated and a bool cut read as 0 or 1
+        p = np.arange(5)
+        with pytest.raises(ValueError, match="cut points must be integers"):
+            order_crossover_two_point(p, p[::-1], *cuts)
+
     def test_rejects_one_cut_pair_for_stacked_pairs(self):
         p = np.stack([np.arange(4), np.arange(4)[::-1]])
         with pytest.raises(ValueError, match="one cut pair per pair"):
@@ -168,6 +175,11 @@ class TestMutation:
             q = swap_mutation(p, rng)
             assert is_bijection(q, n)
             assert int((p != q).sum()) == 2
+
+    def test_rejects_a_stack_of_rows(self):
+        # len() of a 2-D array counts its rows, which would be swapped whole
+        with pytest.raises(ValueError, match=re.escape("1-D), got shape (2, 3)")):
+            swap_mutation(np.array([[0, 1, 2], [2, 1, 0]]), np.random.default_rng(0))
 
     def test_degenerate_length_one(self, caplog):
         p = np.array([0])
@@ -346,6 +358,52 @@ class TestEvolveStep:
         with pytest.raises(ValueError):
             evolve_step(inst, perms, costs, GaConfig(population_size=12), rng)
 
+    @pytest.mark.parametrize("width, perms_dtype, costs_shape, costs_dtype", [
+        (7, np.int64, (10,), np.int64),  # a row one gene too wide
+        (5, np.int64, (10,), np.int64),  # a row one gene short
+        (6, np.float64, (10,), np.int64),
+        (6, np.int64, (10,), np.float64),
+        (6, np.int64, (10,), np.int32),
+        (6, np.int64, (10, 1), np.int64),
+        (6, np.int64, (9,), np.int64),
+    ])
+    def test_rejects_a_wrong_shape_or_dtype(self, width, perms_dtype, costs_shape, costs_dtype):
+        rng = np.random.default_rng(37)
+        inst = random_instance(6, 10, rng=rng)
+        perms = np.stack([rng.permutation(width) for _ in range(10)]).astype(perms_dtype)
+        costs = np.resize(np.arange(100, 110), costs_shape).astype(costs_dtype)
+        expected = (f"expected int64 perms (10, 6) and int64 costs (10,), got {perms.dtype} perms "
+                    f"{perms.shape} and {costs.dtype} costs {costs.shape}")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            evolve_step(inst, perms, costs, GaConfig(population_size=10), rng)
+
+    def test_a_broken_elite_row_is_refused(self):
+        # the elite pass through the gather untouched, so the check must cover them
+        inst = random_instance(5, 10, rng=np.random.default_rng(39))
+        perms = np.array([[0, 0, 1, 2, 7]] + [[0, 1, 2, 3, 4]] * 3)
+        costs = np.array([99, 100, 100, 100])
+        cfg = GaConfig(population_size=4, elitism_count=3, crossover_rate=0.0, mutation_rate=1.0)
+        with pytest.raises(AssertionError, match=re.escape(BROKEN_CHILD)):
+            evolve_step(inst, perms, costs, cfg, np.random.default_rng(0))
+
+    def test_mutated_copies_are_checked_before_their_swap_deltas(self, monkeypatch):
+        # each input row repeats a gene, so every mutated copy does too
+        import qapga.ga as ga
+        calls = []
+        for name in ("_swap_deltas", "_costs"):
+            def spying(*args, _real=getattr(ga, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(ga, name, spying)
+        rng = np.random.default_rng(40)
+        inst = random_instance(6, 10, rng=rng)
+        perms = np.stack([rng.permutation(6) for _ in range(10)])
+        perms[:, 1] = perms[:, 0]
+        cfg = GaConfig(population_size=10, crossover_rate=0.0, mutation_rate=1.0)
+        with pytest.raises(AssertionError, match=re.escape(BROKEN_CHILD)):
+            evolve_step(inst, perms, np.arange(100, 110), cfg, rng)
+        assert calls == []
+
     def test_runs_the_module_operators(self, monkeypatch):
         # evolve_step looks its operators up as module globals, so the tested
         # kernels are the ones a generation runs
@@ -413,7 +471,7 @@ def step_with_a_duplicated_gene(patch):
     return raised.value, priced
 
 
-BROKEN_CHILD = "evolve_step: a child is not a permutation of 0..n-1"
+BROKEN_CHILD = "evolve_step: a row of the next population is not a permutation of 0..n-1"
 
 
 def overflow_on_swap():
