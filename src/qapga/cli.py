@@ -85,14 +85,19 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _read(path: Path, binary: bool = False):
+    """The bytes of path, or its text as UTF-8; QapError names a file that cannot be read."""
+    try:
+        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise QapError(f"cannot read {path}: {e}") from None
+
+
 def _config_from(args) -> GaConfig:
     """GaConfig defaults, then the --config file, then the explicit flags."""
     cfg = GaConfig()
     if args.config is not None:
-        try:
-            text = args.config.read_text()
-        except OSError as e:
-            raise QapError(f"cannot read {args.config}: {e}") from None
+        text = _read(args.config)
         try:
             cfg = config_from_text(text)
         except ValueError as e:
@@ -102,10 +107,7 @@ def _config_from(args) -> GaConfig:
 
 
 def _load_instance(path: Path):
-    try:
-        data = path.read_bytes()
-    except OSError as e:
-        raise QapError(f"cannot read {path}: {e}") from None
+    data = _read(path, binary=True)  # bytes, so a ParseError counts columns in bytes
     try:
         return parse_qaplib(data, name=path.stem)
     except ParseError as e:
@@ -147,11 +149,7 @@ def _cmd_bench(args, out) -> int:
     if args.out is not None and not _writable(args.out):
         raise QapError(f"cannot write {args.out}: not a writable file in an existing directory")
     cfg = _config_from(args)
-    try:
-        baseline_text = args.baselines.read_text()
-    except OSError as e:
-        raise QapError(f"cannot read {args.baselines}: {e}") from None
-    baselines = bench_mod.load_baselines(baseline_text)
+    baselines = bench_mod.load_baselines(_read(args.baselines))
     paths = sorted(args.dir.glob("*.dat"))
     if not paths:
         raise QapError(f"no .dat files found in {args.dir}")

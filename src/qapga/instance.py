@@ -9,11 +9,11 @@ of p is the full double sum over ordered facility pairs, diagonal included:
 Matrices are held as int64.  Each kernel reads Instance._exact, the operands
 (flow, dist, flow_t, dist_t) with C-contiguous transposes, so that every
 kernel reads rows: with q = p^-1, the cost of p is trace(dist[p] @ flow_t[q]).
-The operands take the first of three tiers that holds the worst-case cost
+All four take the first of three tiers that holds the worst-case cost
 n^2 * max(flow) * max(dist): int32 up to 2^31 - 1, int64 up to 2^63 - 1, else
-Python-integer copies.  Within a fixed-width tier every product, partial sum
-and cost stays within the tier's range, so nothing wraps.  Costs that do not
-fit a signed 64-bit range raise CostOverflowError, never wrap.
+Python integers.  Within a fixed-width tier every product, partial sum and
+cost stays within the tier's range, so nothing wraps.  Costs that do not fit
+a signed 64-bit range raise CostOverflowError, never wrap.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ class _Record:
 
     __hash__ = None
 
-    def _own(self, name: str, a) -> np.ndarray:
-        """Set field name to a read-only, C-contiguous copy of a, and return it."""
+    def _own(self, name: str, a) -> None:
+        """Set field name to a read-only, C-contiguous copy of a."""
         a = np.array(a, order="C")
         a.setflags(write=False)
         object.__setattr__(self, name, a)
-        return a
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -99,25 +98,19 @@ class _Record:
 class Instance(_Record):
     """A QAP instance: integer size n >= 1 plus flow and distance matrices.
 
-    The matrices are stored as read-only int64 copies.  fits_int64 is true
-    when the worst-case cost n^2 * max(flow) * max(dist) fits in int64.
-    _exact holds the read-only operands (flow, dist, flow_t, dist_t) as the
-    kernels read them, in the first tier that holds the worst case: int32 up
-    to 2^31 - 1, int64 up to 2^63 - 1, else Python-integer copies made once.
-    No cost, product or partial sum of a kernel can then leave the tier's
-    range.  flow_t and dist_t are the read-only, C-contiguous transposes,
-    built in the tier's dtype (int64 for Python integers), so that the int32
-    operands cost no second set of transposes.  As a _Record, it compares by
-    name, n and matrices.
+    The matrices are stored as read-only int64 copies.  _exact holds the
+    read-only operands (flow, dist, flow.T, dist.T) as the kernels read them,
+    the transposes C-contiguous, all four made once in the first tier that
+    holds the worst-case cost n^2 * max(flow) * max(dist): int32 up to
+    2^31 - 1, int64 up to 2^63 - 1, else Python integers.  No cost, product
+    or partial sum of a kernel can then leave the tier's range.  As a
+    _Record, it compares by name, n and matrices.
     """
 
     name: str
     n: int
     flow: np.ndarray
     dist: np.ndarray
-    fits_int64: bool = field(init=False, repr=False)
-    flow_t: np.ndarray = field(init=False, repr=False)
-    dist_t: np.ndarray = field(init=False, repr=False)
     _exact: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -131,13 +124,11 @@ class Instance(_Record):
                 raise ValueError(f"{label} matrix must be {n}x{n}, got {m.shape}")
             self._own(label, m)
         worst = n * n * int(self.flow.max()) * int(self.dist.max())
-        ops = [m if worst > INT32_MAX else m.astype(np.int32) for m in (self.flow, self.dist)]
-        exact = (*ops, self._own("flow_t", ops[0].T), self._own("dist_t", ops[1].T))
-        if worst > INT64_MAX:
-            exact = tuple(m.astype(object) for m in exact)
+        tier = np.int32 if worst <= INT32_MAX else np.int64 if worst <= INT64_MAX else object
+        ops = [np.asarray(m, dtype=tier) for m in (self.flow, self.dist)]  # int64: no copy
+        exact = (*ops, *(np.ascontiguousarray(m.T) for m in ops))
         for m in exact:
             m.setflags(write=False)
-        object.__setattr__(self, "fits_int64", worst <= INT64_MAX)
         object.__setattr__(self, "_exact", exact)
 
 

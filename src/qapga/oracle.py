@@ -112,24 +112,18 @@ def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResu
 def random_instance(
     n: int,
     max_entry: int,
-    symmetric: bool = False,
     zero_diagonal: bool = False,
     rng: np.random.Generator | None = None,
     name: str = "random",
 ) -> Instance:
-    """Uniform integer matrices in [0, max_entry], optionally symmetrized
-    (upper triangle mirrored) and zero-diagonal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if max_entry < 0:
-        raise ValueError("max_entry must be >= 0")
+    """Uniform integer matrices in [0, max_entry], optionally zero-diagonal."""
+    for label, value, low in (("n", n, 1), ("max_entry", max_entry, 0)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+            raise ValueError(f"{label} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng() if rng is None else rng
 
     def matrix():
         m = rng.integers(0, max_entry + 1, size=(n, n), dtype=np.int64)
-        if symmetric:
-            upper = np.triu(m)
-            m = upper + upper.T - np.diag(np.diag(m))
         if zero_diagonal:
             np.fill_diagonal(m, 0)
         return m

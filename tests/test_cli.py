@@ -51,6 +51,13 @@ class TestSolve:
         assert status == 2
         assert "matrix entries" in err
 
+    def test_non_utf8_instance_keeps_its_byte_position(self, tmp_path):
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(b"1\n3 \xff\xfe\n")
+        status, _, err = invoke(["solve", str(bad)])
+        assert status == 2
+        assert err == f"error: {bad}: malformed token '\ufffd\ufffd' at 2:3: expected matrix entry\n"
+
     def test_entry_beyond_int64_exits_2(self, tmp_path):
         p = tmp_path / "huge.dat"
         p.write_text(f"1\n{2**63}\n0\n")
@@ -244,6 +251,15 @@ class TestConfigFlag:
         assert status == 2
         assert "population_size must be an integer" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b"max_generations = 4\n\xff\n", b"\xfe\xff"],
+                             ids=["second_line", "utf16_bom"])
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, tiny1_path, content):
+        cfg = tmp_path / "ga.conf"
+        cfg.write_bytes(content)
+        status, _, err = invoke(["solve", str(tiny1_path), "--config", str(cfg)])
+        assert status == 2
+        assert err.startswith(f"error: cannot read {cfg}: 'utf-8' codec can't decode")
+
     def test_oracle_has_no_config_flag(self, tmp_path, tiny1_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("nonsense = 1\n")
@@ -302,6 +318,13 @@ class TestNumberGrammar:
 
 
 class TestBenchOutcomes:
+    def test_baselines_that_are_not_utf8_are_named(self, tmp_path, mini_suite, no_suite):
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_bytes(b"name,best_known,source\nmini,21,\xff\n")
+        status, out, err = invoke(mini_suite + ["--seeds", "1"])
+        assert status == 2 and out == ""
+        assert err.startswith(f"error: cannot read {baselines}: 'utf-8' codec can't decode")
+
     def test_out_into_missing_directory_exits_2(self, tmp_path, mini_suite):
         target = tmp_path / "missing" / "x.csv"
         status, out, err = invoke(mini_suite + ["--seeds", "1", "--out", str(target)])

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from itertools import permutations
 from math import isqrt
 
@@ -39,7 +40,7 @@ def tiered(name, flow, dist, tier):
     if tier is not np.int32:
         flow[0, 0], dist[0, -1] = (2**24, 2**8) if tier is np.int64 else (2**40, 2**30)
     inst = Instance(name, len(flow), flow, dist)
-    assert inst._exact[0].dtype == tier and inst.fits_int64 is (tier is not object)
+    assert all(m.dtype == tier for m in inst._exact)
     return inst
 
 
@@ -628,7 +629,7 @@ class TestSwapDelta:
         # cost 2**31 + 2**33 before the swap, 2**64 + 1 after it
         inst = Instance("over", 2, np.array([[0, 2**31], [1, 0]]),
                         np.array([[0, 1], [2**33, 0]]))
-        assert not inst.fits_int64
+        assert inst._exact[0].dtype == object
         current = evaluate_cost(inst, np.array([0, 1]))
         assert current == 2**31 + 2**33
         with pytest.raises(CostOverflowError):
@@ -649,7 +650,7 @@ class TestSwapDelta:
             for _ in range(2)
         )
         inst = Instance("big", n, flow, dist)
-        assume(not inst.fits_int64)
+        assume(inst._exact[0].dtype == object)
 
         def big_int_cost(p):
             return sum(int(flow[i, k]) * int(dist[p[i], p[k]])
@@ -860,10 +861,15 @@ class TestSwapDeltaRows:
 
 
 class TestTransposes:
-    def test_read_only_contiguous_transposes(self):
-        inst = random_instance(7, 50, rng=np.random.default_rng(5))
-        for m, m_t in ((inst.flow, inst.flow_t), (inst.dist, inst.dist_t)):
-            assert np.array_equal(m_t, m.T)
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_read_only_contiguous_transposes(self, tier):
+        rng = np.random.default_rng(5)
+        inst = tiered("t", *(rng.integers(0, 51, size=(7, 7)) for _ in range(2)), tier)
+        assert [f.name for f in fields(Instance)] == ["name", "n", "flow", "dist", "_exact"]
+        flow, dist, flow_t, dist_t = inst._exact
+        assert flow.dtype == dist.dtype == flow_t.dtype == dist_t.dtype == tier
+        for m, m_t, given in ((flow, flow_t, inst.flow), (dist, dist_t, inst.dist)):
+            assert np.array_equal(m, given) and np.array_equal(m_t, given.T)
             assert m_t.flags.c_contiguous and not m_t.flags.writeable
             with pytest.raises(ValueError):
                 m_t[0, 1] = 5
@@ -885,17 +891,18 @@ class TestTransposes:
         a, b = np.array([rng.choice(6, 2, replace=False) for _ in range(20)]).T
         for inst in tiers:
             twin = round_trip(inst)
-            assert twin == inst and twin.fits_int64 is inst.fits_int64
-            for label in ("flow", "dist", "flow_t", "dist_t"):
-                m = getattr(twin, label)
-                assert np.array_equal(m, getattr(inst, label)) and not m.flags.writeable
-            assert np.array_equal(twin.dist_t, twin.dist.T)
+            assert twin == inst
+            for m, m_inst in zip((twin.flow, twin.dist, *twin._exact),
+                                 (inst.flow, inst.dist, *inst._exact)):
+                assert m.dtype == m_inst.dtype
+                assert np.array_equal(m, m_inst) and not m.flags.writeable
+            assert np.array_equal(twin._exact[3], twin.dist.T)
             assert _costs(twin, perms).tolist() == _costs(inst, perms).tolist()
             assert (_swap_deltas(twin, perms, a, b).tolist()
                     == _swap_deltas(inst, perms, a, b).tolist())
 
     def test_repr_and_equality_ignore_transposes(self, tiny3):
-        assert "_t" not in repr(tiny3)
+        assert "_exact" not in repr(tiny3)
         assert tiny3 == Instance(tiny3.name, tiny3.n, tiny3.flow, tiny3.dist)
 
 
@@ -944,7 +951,7 @@ class TestInt32Edge:
         flow = np.ones((n, n), np.int64)
         flow[0, 0] = top
         inst = Instance("edge", n, flow, np.ones((n, n), np.int64))
-        assert inst.fits_int64 and inst._exact[0].dtype == inst.flow_t.dtype == tier
+        assert inst._exact[0].dtype == inst._exact[2].dtype == tier
         assert inst.flow.dtype == inst.dist.dtype == np.int64
         cost = top + n * n - 1
         assert evaluate_cost(inst, np.arange(n)) == cost

@@ -149,7 +149,7 @@ class TestExhaustiveOptimum:
         dist = 1 + 2 * np.tri(8, k=-1, dtype=np.int64) + rng.integers(0, 2, size=(8, 8))
         flow[0, 1] = flow[1, 5] = flow[6, 3] = 2**59
         inst = Instance("big8", 8, flow, dist)
-        assert not inst.fits_int64
+        assert inst._exact[0].dtype == object
         perms = all_permutations(8)
         ref = _costs(inst, perms)
         res = exhaustive_optimum(inst)
@@ -182,11 +182,6 @@ class TestRandomInstance:
         assert (inst.flow == 0).all() and (inst.dist == 0).all()
         assert exhaustive_optimum(inst).optimum == 0
 
-    def test_symmetric_flag(self):
-        inst = random_instance(8, 30, symmetric=True, rng=np.random.default_rng(1))
-        assert (inst.flow == inst.flow.T).all()
-        assert (inst.dist == inst.dist.T).all()
-
     def test_zero_diagonal_flag(self):
         inst = random_instance(8, 30, zero_diagonal=True, rng=np.random.default_rng(2))
         assert (np.diag(inst.flow) == 0).all()
@@ -206,6 +201,17 @@ class TestRandomInstance:
             random_instance(0, 5)
         with pytest.raises(ValueError):
             random_instance(3, -1)
+
+    @pytest.mark.parametrize("n, max_entry", [
+        (2.5, 5), (3.0, 5), (True, 5), ("3", 5), (None, 5),
+        (3, 5.5), (3, 5.0), (3, True), (3, "5"), (3, None)])
+    def test_rejects_non_integer_args(self, n, max_entry):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_instance(n, max_entry)
+
+    def test_numpy_integer_args(self):
+        inst = random_instance(np.int64(3), np.int32(5), rng=np.random.default_rng(4))
+        assert inst.n == 3 and inst.flow.max() <= 5
 
 
 def test_ga_never_beats_oracle_and_mostly_matches():

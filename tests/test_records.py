@@ -120,8 +120,8 @@ class TestRecordsOwnTheirArrays:
         inst = Instance("own", 2, flow, dist)
         assert flow.flags.writeable and dist.flags.writeable
         flow[0, 1] = dist[1, 0] = 9
-        assert inst.flow.tolist() == [[0, 2], [3, 0]] and inst.flow_t[1, 0] == 2
-        assert inst.dist.tolist() == [[0, 5], [7, 0]] and inst.dist_t[0, 1] == 7
+        assert inst.flow.tolist() == [[0, 2], [3, 0]] and inst._exact[2][1, 0] == 2
+        assert inst.dist.tolist() == [[0, 5], [7, 0]] and inst._exact[3][0, 1] == 7
 
     def test_oracle_result_owns_argmin(self):
         argmin = np.array([1, 0])
