@@ -39,19 +39,29 @@ class BenchRow:
     per_seed_time_s: list = field(default_factory=list, compare=False)
 
 
+def _csv_rows(text: str):
+    """(line, row) for each CSV row of text, line being the row's last; a CSV
+    syntax error, such as a field past csv's size limit, is a BenchError naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as e:
+        raise BenchError(f"line {reader.line_num}: {e}") from None
+
+
 def load_baselines(text: str) -> list[BaselineRecord]:
     """Parse the name,best_known,source CSV; duplicate names (case-insensitive)
     and non-positive values are errors."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise BenchError("baselines file is empty") from None
+    rows = _csv_rows(text)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise BenchError("baselines file is empty")
     if [h.strip().lower() for h in header] != ["name", "best_known", "source"]:
         raise BenchError(f"unexpected baselines header: {header}")
     records = []
     seen = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 3:
@@ -105,11 +115,12 @@ def run_suite(
         )
         tasks += [(inst, replace(inst_cfg, rng_seed=seed)) for seed in seeds]
 
-    if jobs > 1:
+    workers = min(jobs, len(tasks))  # a forked pool starts all its workers at once
+    if workers > 1:
         # imported here: the pool's modules add about 0.8 MB of resident memory
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, *zip(*tasks)))
     else:
         results = [run(inst, seed_cfg) for inst, seed_cfg in tasks]
@@ -167,12 +178,14 @@ def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
     input raises BenchError naming the CSV line or the JSON record."""
     rows = []
     if format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
+        lines = _csv_rows(text)
+        _, header = next(lines, (0, None))
         if header != REPORT_HEADER:
             raise BenchError(f"unexpected report header: {header}")
-        for row in filter(None, reader):
-            where = f"line {reader.line_num}: bad report row {row}"
+        for lineno, row in lines:
+            if not row:
+                continue
+            where = f"line {lineno}: bad report row {row}"
             if len(row) != len(REPORT_HEADER):
                 raise BenchError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(row)}")
             try:
@@ -183,7 +196,7 @@ def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
     if format == "json":
         try:
             records = json.loads(text)
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep to decode
             raise BenchError(f"report is not valid JSON: {e}") from None
         if not isinstance(records, list):
             raise BenchError(f"report must be a JSON list of rows, got {type(records).__name__}")

@@ -56,22 +56,22 @@ class Chromosome(_Record):
         self._own("perm", self.perm)
 
 
-def _flag(default, flag: str, text: str):
-    return field(default=default, metadata={"flag": flag, "help": text})
+def _flag(default, flag: str, text: str, low, high=None):  # high None: no upper bound
+    return field(default=default, metadata={"flag": flag, "help": text, "range": (low, high)})
 
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Settings of one GA run; each field's `flag`/`help` metadata is the CLI flag table."""
+    """Settings of one GA run; field metadata `flag`/`help`/`range` is the CLI flag and range table."""
 
-    population_size: int = _flag(100, "--pop", "population size")
-    crossover_rate: float = _flag(0.8, "--cx-rate", "crossover probability")
-    mutation_rate: float = _flag(0.2, "--mut-rate", "per-chromosome mutation probability")
-    max_generations: int = _flag(10000, "--generations", "maximum number of generations")
-    target_cost: int | None = _flag(None, "--target", "stop once the best cost reaches this value")
-    time_limit_s: float | None = _flag(None, "--time-limit-s", "wall-clock budget per run in seconds")
-    elitism_count: int = _flag(1, "--elitism", "number of elite survivors per generation")
-    rng_seed: int = _flag(0, "--seed", "random seed of the run")
+    population_size: int = _flag(100, "--pop", "population size", 2)
+    crossover_rate: float = _flag(0.8, "--cx-rate", "crossover probability", 0, 1)
+    mutation_rate: float = _flag(0.2, "--mut-rate", "per-chromosome mutation probability", 0, 1)
+    max_generations: int = _flag(10000, "--generations", "maximum number of generations", 1)
+    target_cost: int | None = _flag(None, "--target", "stop once the best cost reaches this value", 0)
+    time_limit_s: float | None = _flag(None, "--time-limit-s", "wall-clock budget per run in seconds", 0)
+    elitism_count: int = _flag(1, "--elitism", "number of elite survivors per generation", 0)
+    rng_seed: int = _flag(0, "--seed", "random seed of the run", 0)
 
     def __post_init__(self):
         for f in fields(self):  # the optional fields are the ones defaulting to None
@@ -81,18 +81,12 @@ class GaConfig:
             if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
                 raise ValueError(f"{f.name} must be {'an integer' if kind is int else 'a number'}, "
                                  f"got {value!r}")
-        for ok, rule in (  # a nan time_limit_s fails its comparison too
-            (self.population_size >= 2, "population_size must be >= 2"),
-            (0.0 <= self.crossover_rate <= 1.0, "crossover_rate must be in [0, 1]"),
-            (0.0 <= self.mutation_rate <= 1.0, "mutation_rate must be in [0, 1]"),
-            (self.max_generations >= 1, "max_generations must be >= 1"),
-            (self.time_limit_s is None or self.time_limit_s >= 0, "time_limit_s must be None or >= 0"),
-            (0 <= self.elitism_count < self.population_size,
-             "elitism_count must be in [0, population_size)"),
-            (self.rng_seed >= 0, "rng_seed must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(rule)
+            low, high = f.metadata["range"]
+            if not (low <= value and (high is None or value <= high)):  # a nan fails too
+                bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ValueError(f"{f.name} must be {'None or ' if f.default is None else ''}{bound}")
+        if self.elitism_count >= self.population_size:
+            raise ValueError("elitism_count must be in [0, population_size)")
 
 
 def _scalar_type(hint) -> type:

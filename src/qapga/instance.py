@@ -185,7 +185,8 @@ def _check_tokens(data: bytes) -> None:
     size, found = 2 * n * n, 0
     for found, m in zip(range(1, size + 1), tokens):  # the range ends first: no token lost
         raw = m[0]
-        if raw.isdigit() and int(raw) <= INT64_MAX:
+        digits = raw.lstrip(b"0")  # 2^63 - 1 has 19 digits; int() refuses past 4300, zeros too
+        if raw.isdigit() and len(digits) <= 19 and int(digits or b"0") <= INT64_MAX:
             continue
         tok, pos = where(m)
         if raw.isdigit():

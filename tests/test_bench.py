@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -57,6 +58,15 @@ class TestLoadBaselines:
     def test_bad_header(self):
         with pytest.raises(BenchError, match="header"):
             load_baselines("a,b,c\nx,1,src\n")
+
+    def test_field_past_the_csv_size_limit_names_its_line(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(BenchError, match=r"^line 3: field larger than field limit"):
+            load_baselines(f"name,best_known,source\nnug12,578,a\n{big},1,b\n")
+
+    def test_line_after_a_field_that_spans_two_lines(self):
+        with pytest.raises(BenchError, match="^line 4: expected 3 fields, got 1$"):
+            load_baselines('name,best_known,source\nnug12,578,"QAPLIB\nsite"\nonlyonefield\n')
 
     def test_shipped_baselines_parse(self):
         from conftest import BASELINES_CSV
@@ -167,6 +177,39 @@ class TestRunSuite:
         (row,) = pooled
         assert (row.best_found, row.gap, row.generations) == (628, 0.086505, 40)
 
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """ProcessPoolExecutor replaced by an in-process recorder of its max_workers"""
+        import concurrent.futures
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        return sizes
+
+    def test_no_more_workers_than_runs(self, pool_sizes):
+        instances, baselines = _tiny_suite()
+        cfg = GaConfig(population_size=2, max_generations=2)
+        (row,) = run_suite(instances, baselines, cfg, seeds=[1, 2], jobs=1000)
+        assert pool_sizes == [2] and row.seeds_run == 2
+
+    def test_a_single_run_builds_no_pool(self, pool_sizes):
+        instances, baselines = _tiny_suite()
+        cfg = GaConfig(population_size=2, max_generations=2)
+        (row,) = run_suite(instances, baselines, cfg, seeds=[1], jobs=1000)
+        assert pool_sizes == [] and row.seeds_run == 1
+
     def test_importing_qapga_does_not_load_the_process_pool(self):
         # run_suite imports it only when jobs > 1: it adds about 0.8 MB of RSS
         src = os.path.dirname(os.path.dirname(qapga.__file__))
@@ -270,6 +313,16 @@ class TestReports:
             records[1][key] = value
             with pytest.raises(BenchError, match=f"record 2: .*'{key}'"):
                 parse_report(json.dumps(records), "json")
+
+    def test_csv_field_past_the_size_limit_names_its_line(self):
+        big = "x" * (csv.field_size_limit() + 1)
+        text = emit_report(self.rows(), "csv") + f"{big},1,1,1,0,1,1\n"
+        with pytest.raises(BenchError, match=r"^line 4: field larger than field limit"):
+            parse_report(text, "csv")
+
+    def test_json_nested_too_deep_is_a_bench_error(self):
+        with pytest.raises(BenchError, match="^report is not valid JSON"):
+            parse_report("[" * 100000, "json")
 
     def test_json_refuses_an_unknown_key(self):
         records = json.loads(emit_report(self.rows(), "json"))

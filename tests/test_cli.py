@@ -237,6 +237,21 @@ class TestConfigFlag:
         assert status == 2
         assert "unknown config key" in err
 
+    def test_negative_target_exits_2_before_any_run(self, tiny1_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qapga.cli.run", lambda *args: calls.append(args))
+        status, out, err = invoke(["solve", str(tiny1_path), "--target", "-1"])
+        assert (status, out, err) == (2, "", "error: target_cost must be None or >= 0\n")
+        assert calls == []
+
+    def test_entry_past_the_int_digit_limit_names_the_file(self, tmp_path):
+        huge = tmp_path / "huge.dat"
+        huge.write_text(f"1\n3 {'9' * 5000}\n")
+        status, _, err = invoke(["solve", str(huge)])
+        assert status == 2
+        assert err.startswith(f"error: {huge}: matrix entry 999")
+        assert err.endswith(" at 2:3 exceeds signed 64-bit range\n")
+
     def test_repeated_key_exits_2(self, tmp_path, tiny1_path):
         cfg = tmp_path / "ga.conf"
         cfg.write_text("population_size = 10\n# again\npopulation_size = 20\n")
@@ -375,6 +390,20 @@ class TestBenchOutcomes:
         status, out, err = invoke(mini_suite + ["--seeds", "1,-1"])
         assert status == 2 and "rng_seed must be >= 0" in err
         assert calls == [] and out == ""
+
+    def test_negative_target_exits_2_before_any_run(self, mini_suite, monkeypatch):
+        calls = []
+        monkeypatch.setattr("qapga.bench.run", lambda *args: calls.append(args))
+        status, out, err = invoke(mini_suite + ["--seeds", "1", "--target", "-1"])
+        assert (status, out, err) == (2, "", "error: target_cost must be None or >= 0\n")
+        assert calls == []
+
+    def test_oversized_baselines_field_exits_2(self, mini_suite, tmp_path):
+        baselines = tmp_path / "baselines.csv"
+        baselines.write_text("name,best_known,source\nmini,21,exact\n" + "x" * 200000 + ",1,b\n")
+        status, out, err = invoke(mini_suite + ["--seeds", "1"])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: line 3: field larger than field limit")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, mini_suite, jobs):

@@ -1,7 +1,9 @@
+import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -22,7 +24,7 @@ from qapga import (
     selection_weights,
     swap_mutation,
 )
-from qapga.ga import evolve_step
+from qapga.ga import _CONFIG_FIELDS, evolve_step
 from qapga.instance import Instance, check_permutation
 from qapga.oracle import exhaustive_optimum, random_instance
 
@@ -561,6 +563,46 @@ class TestConfigFields:
         with pytest.raises(ValueError, match="rng_seed must be >= 0"):
             GaConfig(rng_seed=-1)
         assert GaConfig(rng_seed=0).rng_seed == 0
+
+
+class TestConfigRanges:
+    # the message for a value just outside each field's range, in field order
+    MESSAGES = {
+        "population_size": "population_size must be >= 2",
+        "crossover_rate": "crossover_rate must be in [0, 1]",
+        "mutation_rate": "mutation_rate must be in [0, 1]",
+        "max_generations": "max_generations must be >= 1",
+        "target_cost": "target_cost must be None or >= 0",
+        "time_limit_s": "time_limit_s must be None or >= 0",
+        "elitism_count": "elitism_count must be >= 0",
+        "rng_seed": "rng_seed must be >= 0",
+    }
+
+    def test_every_row_holds_flag_help_and_range(self):
+        assert [f.name for f in fields(GaConfig)] == list(self.MESSAGES)
+        for f in fields(GaConfig):
+            assert set(f.metadata) == {"flag", "help", "range"}, f.name
+            low, high = f.metadata["range"]
+            assert high is None or low < high, f.name
+
+    @pytest.mark.parametrize("f", fields(GaConfig), ids=lambda f: f.name)
+    def test_bounds_are_accepted_and_values_past_them_refused(self, f):
+        low, high = f.metadata["range"]
+        kind = _CONFIG_FIELDS[f.name]
+        below = low - 1 if kind is int else math.nextafter(low, -math.inf)
+        above = None if high is None else high + 1 if kind is int else math.nextafter(high, math.inf)
+        for bound in (low, high):
+            if bound is not None:
+                assert getattr(GaConfig(**{f.name: kind(bound)}), f.name) == bound
+        for value in (below, above):
+            if value is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGES[f.name])}$"):
+                    GaConfig(**{f.name: value})
+
+    def test_elitism_stays_below_population_size(self):
+        assert GaConfig(population_size=4, elitism_count=3).elitism_count == 3
+        with pytest.raises(ValueError, match=re.escape("elitism_count must be in [0, population_size)")):
+            GaConfig(population_size=4, elitism_count=4)
 
 
 class TestConfigText:

@@ -147,6 +147,17 @@ class TestParse:
                 "matrix entry 99999999999999999999 at 3:3 exceeds signed 64-bit range")):
             parse_qaplib("2\n0 1\n1 99999999999999999999\n0 3\n3 0")
 
+    @pytest.mark.parametrize("entry", ["9" * 5000, "1" + "0" * 4300], ids=["5000-nines", "1e4300"])
+    def test_entry_past_the_int_digit_limit_reports_position(self, entry):
+        # int() refuses a string of more than 4300 digits with a bare ValueError
+        with pytest.raises(ParseError, match=re.escape(
+                f"matrix entry {entry} at 2:3 exceeds signed 64-bit range")):
+            parse_qaplib(f"1\n3 {entry}\n")
+
+    def test_long_zero_padded_entry_is_read_by_the_scan(self):
+        with pytest.raises(ParseError, match=re.escape("trailing garbage 'x' at 2:5005")):
+            parse_qaplib(f"1\n{'0' * 5000}7 5 x")
+
     def test_non_digit_trailing_token(self):
         with pytest.raises(ParseError, match=re.escape("trailing garbage 'x' at 5:5")):
             parse_qaplib("2\n0 1\n1 0\n0 3\n3 0 x 9")
