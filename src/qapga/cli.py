@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .ga import _CONFIG_FIELDS, GaConfig, config_from_text, run
-from .instance import ParseError, QapError, parse_qaplib, read_number
+from .instance import QapError, parse_qaplib, read_number
 from .oracle import DEFAULT_LIMIT, exhaustive_optimum
 
 
@@ -85,33 +85,29 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _read(path: Path, binary: bool = False):
-    """The bytes of path, or its text as UTF-8; QapError names a file that cannot be read."""
+def _load(path: Path, parse, binary: bool = False):
+    """parse of the bytes of path, or of its text as UTF-8 (a leading byte-order mark
+    dropped); any failure is a QapError that names path."""
     try:
-        return path.read_bytes() if binary else path.read_text(encoding="utf-8")
+        data = path.read_bytes() if binary else path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise QapError(f"cannot read {path}: {e}") from None
+    try:
+        return parse(data)
+    except (QapError, ValueError) as e:
+        raise QapError(f"{path}: {e}") from None
 
 
 def _config_from(args) -> GaConfig:
     """GaConfig defaults, then the --config file, then the explicit flags."""
-    cfg = GaConfig()
-    if args.config is not None:
-        text = _read(args.config)
-        try:
-            cfg = config_from_text(text)
-        except ValueError as e:
-            raise QapError(f"bad config file {args.config}: {e}") from None
+    cfg = GaConfig() if args.config is None else _load(args.config, config_from_text)
     return replace(cfg, **{name: getattr(args, name) for name in _CONFIG_FIELDS
                            if hasattr(args, name)})
 
 
 def _load_instance(path: Path):
-    data = _read(path, binary=True)  # bytes, so a ParseError counts columns in bytes
-    try:
-        return parse_qaplib(data, name=path.stem)
-    except ParseError as e:
-        raise ParseError(f"{path}: {e}") from None
+    """The .dat file at path, read as bytes so that a ParseError counts columns in bytes."""
+    return _load(path, partial(parse_qaplib, name=path.stem), binary=True)
 
 
 def _one_based(perm) -> str:
@@ -149,7 +145,7 @@ def _cmd_bench(args, out) -> int:
     if args.out is not None and not _writable(args.out):
         raise QapError(f"cannot write {args.out}: not a writable file in an existing directory")
     cfg = _config_from(args)
-    baselines = bench_mod.load_baselines(_read(args.baselines))
+    baselines = _load(args.baselines, bench_mod.load_baselines)
     paths = sorted(args.dir.glob("*.dat"))
     if not paths:
         raise QapError(f"no .dat files found in {args.dir}")

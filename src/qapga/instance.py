@@ -176,8 +176,8 @@ def _check_tokens(data: bytes) -> None:
     if head is None:
         raise ParseError("unexpected end of input: expected instance size n")
     tok, pos = where(head)
-    try:
-        n = read_number(int, tok)
+    try:  # int() refuses past 4300 digits, zeros too: drop the leading ones, as entries do
+        n = read_number(int, re.sub("^(-?)0+(?=[0-9])", r"\1", tok))
     except ValueError:
         raise ParseError(f"malformed token {tok!r} at {pos}: expected instance size n") from None
     if n < 1:

@@ -1,6 +1,8 @@
+import ast
 import io
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -403,7 +405,7 @@ class TestBenchOutcomes:
         baselines.write_text("name,best_known,source\nmini,21,exact\n" + "x" * 200000 + ",1,b\n")
         status, out, err = invoke(mini_suite + ["--seeds", "1"])
         assert (status, out) == (2, "")
-        assert err.startswith("error: line 3: field larger than field limit")
+        assert err.startswith(f"error: {baselines}: line 3: field larger than field limit")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, mini_suite, jobs):
@@ -411,6 +413,96 @@ class TestBenchOutcomes:
         assert status == 1
         assert f"bad --jobs value {jobs}" in err
         assert out == ""
+
+
+class TestInputFiles:
+    """Every file the CLI reads goes through one loader: a file that cannot be
+    read, decoded or parsed exits 2, and the message names it."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        inst_dir = tmp_path / "qaplib"
+        inst_dir.mkdir()
+        files = {"config": tmp_path / "ga.conf", "baselines": tmp_path / "baselines.csv",
+                 "dat": inst_dir / "mini.dat"}
+        files["config"].write_text("max_generations = 2\npopulation_size = 2\n")
+        files["baselines"].write_text("name,best_known,source\nmini,21,exact\n")
+        files["dat"].write_text(TINY1)
+        return files
+
+    @staticmethod
+    def argv(files, kind):
+        """bench for the baselines file, which only it reads; solve for the others"""
+        if kind == "baselines":
+            return ["bench", "--dir", str(files["dat"].parent), "--baselines",
+                    str(files["baselines"]), "--seeds", "1", "--config", str(files["config"])]
+        return ["solve", str(files["dat"]), "--config", str(files["config"])]
+
+    MALFORMED = {"config": "nonsense = 1\n", "baselines": "name,best_known,source\nmini,x,y\n",
+                 "dat": "1\n3\nx\n"}
+
+    @pytest.mark.parametrize("kind, fault", [
+        ("config", "missing"), ("config", "not_utf8"), ("config", "malformed"),
+        ("baselines", "missing"), ("baselines", "not_utf8"), ("baselines", "malformed"),
+        ("dat", "missing"), ("dat", "malformed"),
+    ])
+    def test_a_bad_file_is_named(self, files, kind, fault):
+        bad = files[kind]
+        if fault == "missing":
+            bad.unlink()
+        elif fault == "not_utf8":
+            bad.write_bytes(b"\xff\n")
+        else:
+            bad.write_text(self.MALFORMED[kind])
+        status, out, err = invoke(self.argv(files, kind))
+        assert (status, out) == (2, "")
+        prefix = f"error: {bad}: " if fault == "malformed" else f"error: cannot read {bad}: "
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    def test_config_with_a_byte_order_mark(self, files):
+        files["config"].write_bytes(b"\xef\xbb\xbfmax_generations = 3\npopulation_size = 2\n")
+        status, out, err = invoke(self.argv(files, "config"))
+        assert (status, err) == (0, "")
+        assert "generations: 3" in out
+
+    def test_baselines_with_a_byte_order_mark(self, files):
+        files["baselines"].write_bytes(b"\xef\xbb\xbfname,best_known,source\nmini,21,exact\n")
+        status, out, err = invoke(self.argv(files, "baselines"))
+        assert (status, err) == (0, "")
+        assert out.splitlines()[1].startswith("mini,1,21,21,0.000000,")
+
+
+def file_reads(source: str) -> list[str]:
+    """'name:line' of each call of read_text, read_bytes or open in source outside
+    a function named _load."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_load" for node in ast.walk(f)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("read_text", "read_bytes", "open"):
+                reads.append(f"{name}:{node.lineno}")
+    return reads
+
+
+def test_the_cli_reads_files_only_through_load():
+    import qapga.cli
+    assert file_reads(Path(qapga.cli.__file__).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def _load(p):\n    return p.read_text()\n", []),
+    ("def _load_instance(p):\n    return p.read_bytes()\n", ["read_bytes:2"]),
+    ("with open(p) as f:\n    pass\n", ["open:1"]),
+    ("import io\nio.open(p)\nos.open(p, 0)\n", ["open:2", "open:3"]),
+    ("p.write_text('report')\n", []),
+], ids=["in-load", "elsewhere", "builtin-open", "module-open", "write"])
+def test_the_read_check_finds_what_it_should(source, expected):
+    assert sorted(file_reads(source)) == expected
 
 
 def test_ga_config_fields_are_the_flag_table(capsys):

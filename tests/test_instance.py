@@ -158,6 +158,23 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape("trailing garbage 'x' at 2:5005")):
             parse_qaplib(f"1\n{'0' * 5000}7 5 x")
 
+    def test_long_zero_padded_header_is_read_by_the_scan(self):
+        # the scan names the bad entry, not the header that int() alone would refuse
+        header = "0" * 5000 + "1"
+        assert parse_qaplib(f"{header}\n3\n5").n == 1
+        with pytest.raises(ParseError, match=re.escape(
+                "malformed token 'x' at 3:1: expected matrix entry")):
+            parse_qaplib(f"{header}\n3\nx")
+        with pytest.raises(ParseError, match=re.escape(
+                "instance size must be positive, got -1 at 1:1")):
+            parse_qaplib(f"-{header}\n3\n5")
+
+    def test_header_past_the_int_digit_limit_is_named(self):
+        header = "1" + "0" * 4300
+        with pytest.raises(ParseError, match=re.escape(
+                f"malformed token '{header}' at 1:1: expected instance size n")):
+            parse_qaplib(f"{header}\n3\n5")
+
     def test_non_digit_trailing_token(self):
         with pytest.raises(ParseError, match=re.escape("trailing garbage 'x' at 5:5")):
             parse_qaplib("2\n0 1\n1 0\n0 3\n3 0 x 9")
