@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .ga import GaConfig, run
-from .instance import Instance, QapError, read_number
+from .instance import Instance, QapError, _integer, read_number
 
 
 class BenchError(QapError):
@@ -22,9 +22,17 @@ class BenchError(QapError):
 
 @dataclass(frozen=True)
 class BaselineRecord:
+    """A best-known cost: instance_name a str, best_known an integer >= 1
+    (a numpy integer is stored as int)."""
+
     instance_name: str
     best_known: int
     source: str
+
+    def __post_init__(self):
+        if not isinstance(self.instance_name, str):
+            raise ValueError(f"instance_name must be a str, got {self.instance_name!r}")
+        object.__setattr__(self, "best_known", _integer("best_known", self.best_known, 1))
 
 
 @dataclass
@@ -82,7 +90,10 @@ def load_baselines(text: str) -> list[BaselineRecord]:
 
 
 def compute_gap(best_found: int, best_known: int) -> float:
-    """(best_found - best_known) / best_known, rounded to 6 dp."""
+    """(best_found - best_known) / best_known, rounded to 6 dp.  Both must be integers,
+    not bools, and best_found >= 0, else ValueError; best_known <= 0 is a BenchError."""
+    best_found = _integer("best_found", best_found, 0)
+    best_known = _integer("best_known", best_known)
     if best_known <= 0:
         raise BenchError(f"best_known must be positive, got {best_known}")
     return round((best_found - best_known) / best_known, 6)
@@ -100,10 +111,13 @@ def run_suite(
     The per-seed target cost defaults to the baseline best-known value so a
     run stops as soon as it matches it; an explicit cfg.target_cost wins.
     Every per-seed config is built, and so validated, before the first run.
+    jobs, an integer >= 1 checked with the seeds, caps the worker processes;
+    with one worker the runs stay in this process.
     Rows come back in input order regardless of execution order.
     """
     if not seeds:
         raise BenchError("seed list must be non-empty")
+    jobs = _integer("jobs", jobs, 1)
     by_name = {b.instance_name.lower(): b for b in baselines}
     tasks = []
     for inst in instances:

@@ -39,8 +39,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import (Instance, _as_int64, _checked, _costs, _is_permutation, _Record,
-                       _swap_deltas, read_number)
+from .instance import (Instance, _as_int64, _checked, _costs, _integer, _is_permutation,
+                       _Record, _swap_deltas, read_number)
 
 log = logging.getLogger(__name__)
 
@@ -171,9 +171,9 @@ class GaResult:
 def init_population(
     inst: Instance, size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniformly random permutations (size, n) and their costs (size,)."""
-    if size < 2:
-        raise ValueError("population size must be >= 2")
+    """Uniformly random permutations (size, n) and their costs (size,); size is an
+    integer >= 2, not a bool."""
+    size = _integer("population size", size, 2)
     perms = np.stack([rng.permutation(inst.n) for _ in range(size)])
     return perms, _costs(inst, perms)
 

@@ -55,6 +55,13 @@ class CostOverflowError(QapError):
     """Cost does not fit in a signed 64-bit integer."""
 
 
+def _integer(label: str, value, low=None) -> int:
+    """int(value) for a count, size, index or limit: an integer, not a bool, >= low if given."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or low is not None and value < low:
+        raise ValueError(f"{label} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+    return int(value)
+
+
 def _as_int64(label: str, m) -> np.ndarray:
     """m as int64.  A bool array is an error, not 0s and 1s, and so are non-integral,
     negative or too large (uint, float) entries."""
@@ -96,7 +103,7 @@ class _Record:
 
 @dataclass(frozen=True, eq=False)
 class Instance(_Record):
-    """A QAP instance: integer size n >= 1 plus flow and distance matrices.
+    """A QAP instance: a str name, integer size n >= 1, flow and distance matrices.
 
     The matrices are stored as read-only int64 copies.  _exact holds the
     read-only operands (flow, dist, flow.T, dist.T) as the kernels read them,
@@ -114,9 +121,9 @@ class Instance(_Record):
     _exact: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        n = int(self.n)
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a str, got {self.name!r}")
+        n = _integer("n", self.n, 1)
         object.__setattr__(self, "n", n)
         for label in ("flow", "dist"):
             m = _as_int64(f"{label} matrix", getattr(self, label))
@@ -342,9 +349,7 @@ def _swap_deltas(inst: Instance, perms: np.ndarray, a: np.ndarray, b: np.ndarray
 def swap_delta(inst: Instance, p: np.ndarray, current: int, i: int, k: int) -> int:
     """Cost after exchanging p[i] and p[k], in O(n) given the current cost (an int64 scalar)."""
     p = check_permutation(p, inst.n)
-    for name, index in (("i", i), ("k", k)):
-        if isinstance(index, bool) or not isinstance(index, Integral):
-            raise ValueError(f"facility index {name} must be an integer, got {index!r}")
+    i, k = _integer("facility index i", i), _integer("facility index k", k)
     if not (0 <= i < inst.n and 0 <= k < inst.n):
         raise IndexError(f"facility index out of range: i={i}, k={k}, n={inst.n}")
     if i == k:

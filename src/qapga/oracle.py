@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
-from numbers import Integral
 
 import numpy as np
 
-from .instance import Instance, _checked, _Record
+from .instance import Instance, _checked, _integer, _Record
 
 DEFAULT_LIMIT = 10
 # positions that each block fills from one table of all their orderings; 5
@@ -66,8 +65,7 @@ def exhaustive_optimum(inst: Instance, limit: int = DEFAULT_LIMIT) -> OracleResu
     smallest argmin.  Arithmetic is in the dtype of inst._exact and every
     cost is checked, so one beyond int64 raises CostOverflowError.
     """
-    if isinstance(limit, bool) or not isinstance(limit, Integral) or limit < 1:
-        raise ValueError(f"limit must be an integer >= 1, got {limit!r}")
+    limit = _integer("limit", limit, 1)
     if inst.n > limit:
         raise OracleLimitError(
             f"n={inst.n} exceeds the enumeration limit {limit}; refusing"
@@ -117,9 +115,7 @@ def random_instance(
     name: str = "random",
 ) -> Instance:
     """Uniform integer matrices in [0, max_entry], optionally zero-diagonal."""
-    for label, value, low in (("n", n, 1), ("max_entry", max_entry, 0)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-            raise ValueError(f"{label} must be an integer >= {low}, got {value!r}")
+    n, max_entry = _integer("n", n, 1), _integer("max_entry", max_entry, 0)
     rng = np.random.default_rng() if rng is None else rng
 
     def matrix():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import qapga
 from qapga import (
+    BaselineRecord,
     GaConfig,
     Instance,
     compute_gap,
@@ -76,6 +77,27 @@ class TestLoadBaselines:
                 "chr12a", "chr12b", "chr15a"} <= names
 
 
+class TestBaselineRecord:
+    @pytest.mark.parametrize("best_known", [0, -5, True, 2.5, "578", None])
+    def test_refuses_a_best_known_that_is_not_a_positive_integer(self, best_known):
+        with pytest.raises(ValueError, match=rf"^best_known must be an integer >= 1, "
+                                             rf"got {re.escape(repr(best_known))}$"):
+            BaselineRecord("nug12", best_known, "x")
+
+    def test_a_numpy_best_known_is_stored_as_int(self):
+        record = BaselineRecord("nug12", np.int64(578), "x")
+        assert type(record.best_known) is int and record.best_known == 578
+
+    @pytest.mark.parametrize("name", [12, None, b"nug12"], ids=["int", "None", "bytes"])
+    def test_refuses_an_instance_name_that_is_not_a_str(self, name):
+        with pytest.raises(ValueError, match=rf"^instance_name must be a str, "
+                                             rf"got {re.escape(repr(name))}$"):
+            BaselineRecord(name, 578, "x")
+
+    def test_a_numpy_str_name_passes(self):
+        assert BaselineRecord(np.str_("nug12"), 578, "x").instance_name == "nug12"
+
+
 class TestComputeGap:
     def test_exact_match_is_zero(self):
         assert compute_gap(578, 578) == 0.0
@@ -86,6 +108,22 @@ class TestComputeGap:
     def test_rejects_non_positive_best_known(self):
         with pytest.raises(BenchError):
             compute_gap(578, 0)
+
+    @pytest.mark.parametrize("found, known, message", [
+        (True, 1, "best_found must be an integer >= 0, got True"),
+        (5, True, "best_known must be an integer, got True"),
+        (5.5, 2, "best_found must be an integer >= 0, got 5.5"),
+        (float("nan"), 3, "best_found must be an integer >= 0, got nan"),
+        (-1, 3, "best_found must be an integer >= 0, got -1"),
+        (600, "578", "best_known must be an integer, got '578'"),
+    ], ids=["found-bool", "known-bool", "found-float", "found-nan", "found-negative",
+            "known-str"])
+    def test_rejects_a_value_that_is_not_an_integer(self, found, known, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_gap(found, known)
+
+    def test_accepts_numpy_integers(self):
+        assert compute_gap(np.int64(600), np.int32(578)) == 0.038062
 
     def test_zero_iff_equal(self):
         rng = np.random.default_rng(1)
@@ -157,6 +195,15 @@ class TestRunSuite:
         cfg = GaConfig(population_size=2, max_generations=2)
         with pytest.raises(ValueError, match="rng_seed must be >= 0"):
             run_suite(instances, baselines, cfg, seeds=[1, -1])
+        assert run_calls == []
+
+    @pytest.mark.parametrize("jobs", [2.5, 0, -1, True, "2"])
+    def test_jobs_is_checked_before_the_first_run(self, run_calls, jobs):
+        instances, baselines = _tiny_suite()
+        cfg = GaConfig(population_size=2, max_generations=2)
+        with pytest.raises(ValueError, match=rf"^jobs must be an integer >= 1, "
+                                             rf"got {re.escape(repr(jobs))}$"):
+            run_suite(instances, baselines, cfg, seeds=[1, 2, 3], jobs=jobs)
         assert run_calls == []
 
     def test_run_is_called_once_per_seed(self, run_calls):

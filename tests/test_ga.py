@@ -53,6 +53,18 @@ class TestInitPopulation:
         with pytest.raises(ValueError):
             init_population(inst, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [2.5, True, 1, "3"])
+    def test_rejects_a_size_that_is_not_an_integer_of_two_or_more(self, size):
+        inst = random_instance(3, 5, rng=np.random.default_rng(2))
+        with pytest.raises(ValueError, match=rf"^population size must be an integer >= 2, "
+                                             rf"got {re.escape(repr(size))}$"):
+            init_population(inst, size, np.random.default_rng(0))
+
+    def test_accepts_a_numpy_integer_size(self):
+        inst = random_instance(3, 5, rng=np.random.default_rng(2))
+        perms, costs = init_population(inst, np.int64(3), np.random.default_rng(0))
+        assert perms.shape == (3, 3) and costs.shape == (3,)
+
     def test_uniform_over_permutations_n3(self):
         inst = random_instance(3, 5, rng=np.random.default_rng(3))
         perms, _ = init_population(inst, 60000, np.random.default_rng(17))

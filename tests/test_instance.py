@@ -713,7 +713,7 @@ class TestSwapDelta:
         assert swap_delta(tiny3, np.array([0, 1, 2]), current, 0, 1) == \
             evaluate_cost(tiny3, np.array([1, 0, 2]))
 
-    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None])
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None, False, 2.5])
     def test_rejects_a_facility_index_that_is_not_an_integer(self, tiny3, index):
         with pytest.raises(ValueError, match="facility index i must be an integer"):
             swap_delta(tiny3, np.array([0, 1, 2]), 64, index, 2)

@@ -158,7 +158,7 @@ class TestExhaustiveOptimum:
         assert res.argmin.tolist() == perms[i].tolist()
         assert res.explored == factorial(8)
 
-    @pytest.mark.parametrize("limit", [True, False, 10.0, "10", None, 0, -1])
+    @pytest.mark.parametrize("limit", [True, False, 10.0, "10", None, 0, -1, 2.5, "3"])
     def test_rejects_a_limit_that_is_not_a_positive_integer(self, tiny3, limit):
         with pytest.raises(ValueError, match="limit must be an integer >= 1") as e:
             exhaustive_optimum(tiny3, limit=limit)
@@ -204,7 +204,8 @@ class TestRandomInstance:
 
     @pytest.mark.parametrize("n, max_entry", [
         (2.5, 5), (3.0, 5), (True, 5), ("3", 5), (None, 5),
-        (3, 5.5), (3, 5.0), (3, True), (3, "5"), (3, None)])
+        (3, 5.5), (3, 5.0), (3, True), (3, "5"), (3, None),
+        (0, 5), (3, -1), (3, False)])
     def test_rejects_non_integer_args(self, n, max_entry):
         with pytest.raises(ValueError, match="must be an integer"):
             random_instance(n, max_entry)

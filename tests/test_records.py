@@ -5,6 +5,7 @@ pickles to an equal record whose arrays are read-only again."""
 
 import copy
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -132,8 +133,9 @@ class TestRecordsOwnTheirArrays:
 
 
 class TestInstanceSize:
-    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), "2", True, None, 0, -1],
-                             ids=["float", "float64", "str", "bool", "None", "0", "-1"])
+    @pytest.mark.parametrize("n", [2.0, np.float64(2.0), "2", True, None, 0, -1, 2.5, "3"],
+                             ids=["float", "float64", "str", "bool", "None", "0", "-1",
+                                  "2.5", "str-3"])
     def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
         m = np.zeros((2, 2), np.int64)
         with pytest.raises(ValueError, match=r"n must be an integer >= 1"):
@@ -144,6 +146,20 @@ class TestInstanceSize:
         inst = Instance("np", np.int64(2), m, m)
         assert type(inst.n) is int
         assert parse_qaplib(render_qaplib(inst), "np") == inst
+
+
+class TestInstanceName:
+    @pytest.mark.parametrize("name", [5, None, b"nug12"], ids=["int", "None", "bytes"])
+    def test_rejects_a_name_that_is_not_a_str(self, name):
+        m = np.zeros((2, 2), np.int64)
+        with pytest.raises(ValueError, match=rf"^name must be a str, got {re.escape(repr(name))}$"):
+            Instance(name, 2, m, m)
+        with pytest.raises(ValueError, match="^name must be a str"):
+            parse_qaplib("2\n0 1\n1 0\n0 2\n2 0\n", name=name)
+
+    def test_a_numpy_str_name_passes(self):
+        m = np.zeros((2, 2), np.int64)
+        assert Instance(np.str_("np"), 2, m, m).name == "np"
 
 
 def test_pick_spins_over_the_wheel_total():
