@@ -17,7 +17,6 @@ from .ga import (
     GaConfig,
     GaResult,
     config_from_text,
-    config_to_text,
     init_population,
     order_crossover_two_point,
     roulette_select,
@@ -32,19 +31,17 @@ from .bench import (
     compute_gap,
     emit_report,
     load_baselines,
-    parse_report,
     run_suite,
 )
 
 __all__ = [
     "BaselineRecord", "BenchRow", "Chromosome", "CostOverflowError",
     "GaConfig", "GaResult", "Instance", "OracleResult", "ParseError",
-    "QapError", "compute_gap", "config_from_text", "config_to_text",
-    "emit_report", "evaluate_cost",
-    "exhaustive_optimum", "init_population", "load_baselines",
-    "order_crossover_two_point", "parse_qaplib", "parse_report",
-    "random_instance", "render_qaplib", "roulette_select", "run",
-    "run_suite", "selection_weights", "swap_delta", "swap_mutation",
+    "QapError", "compute_gap", "config_from_text", "emit_report",
+    "evaluate_cost", "exhaustive_optimum", "init_population", "load_baselines",
+    "order_crossover_two_point", "parse_qaplib", "random_instance",
+    "render_qaplib", "roulette_select", "run", "run_suite",
+    "selection_weights", "swap_delta", "swap_mutation",
 ]
 
 __version__ = "0.1.0"

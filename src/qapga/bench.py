@@ -154,8 +154,6 @@ def run_suite(
 
 
 REPORT_HEADER = ["instance", "seeds", "best_found", "best_known", "gap", "generations", "total_time_s"]
-# value type of each REPORT_HEADER column, which is also BenchRow's field order
-_REPORT_TYPES = (str, int, int, int, float, int, float)
 
 
 def emit_report(rows: list[BenchRow], format: str = "csv") -> str:
@@ -178,54 +176,4 @@ def emit_report(rows: list[BenchRow], format: str = "csv") -> str:
             for r in rows
         ]
         return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def _is_json(kind: type, value) -> bool:
-    """Whether a JSON value holds a report column of type kind (ints count as floats)."""
-    accepted = (int, float) if kind is float else kind
-    return isinstance(value, accepted) and not isinstance(value, bool)
-
-
-def parse_report(text: str, format: str = "csv") -> list[BenchRow]:
-    """Inverse of emit_report (per-seed times survive only in JSON); malformed
-    input raises BenchError naming the CSV line or the JSON record."""
-    rows = []
-    if format == "csv":
-        lines = _csv_rows(text)
-        _, header = next(lines, (0, None))
-        if header != REPORT_HEADER:
-            raise BenchError(f"unexpected report header: {header}")
-        for lineno, row in lines:
-            if not row:
-                continue
-            where = f"line {lineno}: bad report row {row}"
-            if len(row) != len(REPORT_HEADER):
-                raise BenchError(f"{where}: expected {len(REPORT_HEADER)} fields, got {len(row)}")
-            try:
-                rows.append(BenchRow(*map(read_number, _REPORT_TYPES, row)))
-            except ValueError as e:
-                raise BenchError(f"{where}: {e}") from None
-        return rows
-    if format == "json":
-        try:
-            records = json.loads(text)
-        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep to decode
-            raise BenchError(f"report is not valid JSON: {e}") from None
-        if not isinstance(records, list):
-            raise BenchError(f"report must be a JSON list of rows, got {type(records).__name__}")
-        for idx, d in enumerate(records, start=1):
-            if not isinstance(d, dict):
-                raise BenchError(f"record {idx}: expected a row object, got {type(d).__name__}")
-            if unknown := [key for key in d if key not in (*REPORT_HEADER, "per_seed_time_s")]:
-                raise BenchError(f"record {idx}: unknown key {unknown[0]!r}")
-            values = [d.get(key) for key in REPORT_HEADER]
-            for key, kind, v in zip(REPORT_HEADER, _REPORT_TYPES, values):
-                if not _is_json(kind, v):
-                    raise BenchError(f"record {idx}: {key!r} is missing or not {kind.__name__}")
-            per_seed = d.get("per_seed_time_s", [])
-            if not (isinstance(per_seed, list) and all(_is_json(float, t) for t in per_seed)):
-                raise BenchError(f"record {idx}: 'per_seed_time_s' is not a list of numbers")
-            rows.append(BenchRow(*(kind(v) for kind, v in zip(_REPORT_TYPES, values)), per_seed))
-        return rows
     raise ValueError(f"unknown report format {format!r}")

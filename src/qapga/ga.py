@@ -39,8 +39,8 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .instance import (Instance, _as_int64, _checked, _costs, _integer, _is_permutation,
-                       _Record, _swap_deltas, read_number)
+from .instance import (Instance, _as_int64, _checked, _costs, _generator, _integer,
+                       _is_permutation, _Record, _swap_deltas, check_permutation, read_number)
 
 log = logging.getLogger(__name__)
 
@@ -132,12 +132,6 @@ def config_from_text(text: str) -> GaConfig:
     return GaConfig(**values)
 
 
-def config_to_text(cfg: GaConfig) -> str:
-    """Inverse of config_from_text."""
-    values = {key: getattr(cfg, key) for key in _CONFIG_FIELDS}
-    return "".join(f"{k} = {'none' if v is None else v}\n" for k, v in values.items())
-
-
 @dataclass
 class GaResult:
     """One run's outcome; == compares all but wall_time_s, so it checks a replay."""
@@ -173,7 +167,7 @@ def init_population(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniformly random permutations (size, n) and their costs (size,); size is an
     integer >= 2, not a bool."""
-    size = _integer("population size", size, 2)
+    size, rng = _integer("population size", size, 2), _generator(rng)
     perms = np.stack([rng.permutation(inst.n) for _ in range(size)])
     return perms, _costs(inst, perms)
 
@@ -222,11 +216,13 @@ def _swap_positions(n: int, u_a: np.ndarray, u_b: np.ndarray) -> tuple[np.ndarra
 
 
 def swap_mutation(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exchange two distinct, uniformly chosen positions of p."""
-    q = np.array(p)
+    """A copy of p, a permutation of 0..n-1 (else ValueError), as int64 with two
+    distinct, uniformly chosen positions exchanged."""
+    rng, q = _generator(rng), np.array(p)
     if q.ndim != 1:
         raise ValueError(f"p must be one permutation (1-D), got shape {q.shape}")
     n = len(q)
+    q = check_permutation(q, n)
     if n < 2:
         log.warning("swap mutation on length-%d permutation is a no-op", n)
         return q
@@ -274,6 +270,7 @@ def roulette_select(
     The weights need not sum to 1: the wheel spins over their total.  They
     must be finite and non-negative, and not all zero.
     """
+    rng = _generator(rng)
     if len(population) != len(weights):
         raise ValueError("population and weights have different lengths")
     weights = np.asarray(weights, dtype=np.float64)
@@ -299,7 +296,7 @@ def evolve_step(inst: Instance, perms: np.ndarray, costs: np.ndarray, cfg: GaCon
     children are cost-evaluated in one batch; a mutated verbatim copy reuses
     its parent's cost through an O(n) swap delta instead.
     """
-    pop_size, n = cfg.population_size, inst.n
+    pop_size, n, rng = cfg.population_size, inst.n, _generator(rng)
     if (perms.shape, perms.dtype, costs.shape, costs.dtype) != (
             (pop_size, n), np.int64, (pop_size,), np.int64):
         raise ValueError(f"expected int64 perms {(pop_size, n)} and int64 costs {(pop_size,)}, got "

@@ -62,6 +62,13 @@ def _integer(label: str, value, low=None) -> int:
     return int(value)
 
 
+def _generator(rng) -> np.random.Generator:
+    """rng, if it is a numpy Generator; anything else (None, a seed) is a ValueError."""
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
+    return rng
+
+
 def _as_int64(label: str, m) -> np.ndarray:
     """m as int64.  A bool array is an error, not 0s and 1s, and so are non-integral,
     negative or too large (uint, float) entries."""

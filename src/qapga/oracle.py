@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .instance import Instance, _checked, _integer, _Record
+from .instance import Instance, _checked, _generator, _integer, _Record
 
 DEFAULT_LIMIT = 10
 # positions that each block fills from one table of all their orderings; 5
@@ -116,7 +116,7 @@ def random_instance(
 ) -> Instance:
     """Uniform integer matrices in [0, max_entry], optionally zero-diagonal."""
     n, max_entry = _integer("n", n, 1), _integer("max_entry", max_entry, 0)
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng() if rng is None else _generator(rng)
 
     def matrix():
         m = rng.integers(0, max_entry + 1, size=(n, n), dtype=np.int64)

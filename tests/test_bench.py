@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -19,10 +20,10 @@ from qapga import (
     compute_gap,
     emit_report,
     load_baselines,
-    parse_report,
     run_suite,
 )
-from qapga.bench import BenchError, BenchRow
+from qapga.bench import REPORT_HEADER, BenchError, BenchRow
+from qapga.instance import read_number
 from qapga.oracle import exhaustive_optimum, random_instance
 
 from conftest import BASELINES_CSV
@@ -295,6 +296,25 @@ class TestRunSuite:
 
 # a time as reports hold it, to 3 decimals
 SECONDS = st.floats(0, 10**6).map(lambda t: round(t, 3))
+# the value type of each report column, in REPORT_HEADER's order
+KINDS = (str, int, int, int, float, int, float)
+INT_COLUMNS = ("seeds", "best_found", "best_known", "generations")
+
+
+def report_values(row: BenchRow) -> list:
+    """The REPORT_HEADER columns of row, as a report should give them back."""
+    return [row.instance_name, row.seeds_run, row.best_found, row.best_known, row.gap,
+            row.generations, row.total_time_s]
+
+
+def read_csv_report(text: str) -> list[list]:
+    """The rows of a CSV report through csv.reader, each cell read by the number
+    grammar as its column's type; the gap has 6 decimals and the time 3."""
+    header, *cells = csv.reader(io.StringIO(text))
+    assert header == REPORT_HEADER
+    for row in cells:
+        assert re.fullmatch(r"-?[0-9]+\.[0-9]{6}", row[4]) and re.fullmatch(r"[0-9]+\.[0-9]{3}", row[6])
+    return [[read_number(kind, cell) for kind, cell in zip(KINDS, row)] for row in cells]
 
 
 class TestReports:
@@ -315,67 +335,26 @@ class TestReports:
         assert emit_report(self.rows(), "csv") == emit_report(self.rows(), "csv")
 
     def test_csv_round_trip(self):
-        rows = self.rows()
-        assert parse_report(emit_report(rows, "csv"), "csv") == rows
+        # csv.reader gives back every column of every row
+        text = emit_report(self.rows(), "csv")
+        assert list(csv.reader(io.StringIO(text)))[1:] == [
+            ["nug12", "10", "578", "578", "0.000000", "1234", "5.500"],
+            ["chr12a", "10", "9600", "9552", "0.005025", "2000", "12.125"],
+        ]
 
     def test_json_round_trip(self):
-        rows = self.rows()
-        parsed = parse_report(emit_report(rows, "json"), "json")
-        assert parsed == rows
-        assert parsed[0].per_seed_time_s == [0.5, 5.0]
+        # json.loads gives back every column, and the per-seed times CSV has no column for
+        assert json.loads(emit_report(self.rows(), "json")) == [
+            {"instance": "nug12", "seeds": 10, "best_found": 578, "best_known": 578, "gap": 0.0,
+             "generations": 1234, "total_time_s": 5.5, "per_seed_time_s": [0.5, 5.0]},
+            {"instance": "chr12a", "seeds": 10, "best_found": 9600, "best_known": 9552,
+             "gap": 0.005025, "generations": 2000, "total_time_s": 12.125,
+             "per_seed_time_s": [6.0, 6.125]},
+        ]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.rows(), "xml")
-
-    def test_malformed_rows_are_bench_errors(self):
-        csv_lines = emit_report(self.rows(), "csv").splitlines()
-        with pytest.raises(BenchError, match=r"line 3: bad report row \['chr12a', '10'\]"):
-            parse_report("\n".join(csv_lines[:2] + ["chr12a,10"]), "csv")
-        with pytest.raises(BenchError, match="line 2: bad report row"):
-            parse_report(csv_lines[0] + "\nnug12,ten,578,578,0,1,1.0\n", "csv")
-        with pytest.raises(BenchError, match="header"):
-            parse_report("", "csv")
-        records = json.loads(emit_report(self.rows(), "json"))
-        del records[1]["best_known"]
-        with pytest.raises(BenchError, match="record 2: .*'best_known'"):
-            parse_report(json.dumps(records), "json")
-
-    def test_malformed_reports_name_the_line_or_record(self):
-        csv_lines = emit_report(self.rows(), "csv").splitlines()
-        with pytest.raises(BenchError, match=r"line 2: bad report row .*'junk'\]: expected 7"):
-            parse_report("\n".join([csv_lines[0], csv_lines[1] + ",junk"]), "csv")
-        with pytest.raises(BenchError, match="not valid JSON"):
-            parse_report("[{", "json")
-        for top in ('{"instance": "nug12"}', "3", "null"):
-            with pytest.raises(BenchError, match="JSON list of rows"):
-                parse_report(top, "json")
-        records = json.loads(emit_report(self.rows(), "json"))
-        with pytest.raises(BenchError, match="record 2: expected a row object"):
-            parse_report(json.dumps([records[0], "nug12"]), "json")
-        for key, value in [("seeds", "ten"), ("best_found", 578.5), ("seeds", True),
-                           ("instance", 12), ("gap", "0"), ("per_seed_time_s", [1, "x"]),
-                           ("per_seed_time_s", 1.0)]:
-            records = json.loads(emit_report(self.rows(), "json"))
-            records[1][key] = value
-            with pytest.raises(BenchError, match=f"record 2: .*'{key}'"):
-                parse_report(json.dumps(records), "json")
-
-    def test_csv_field_past_the_size_limit_names_its_line(self):
-        big = "x" * (csv.field_size_limit() + 1)
-        text = emit_report(self.rows(), "csv") + f"{big},1,1,1,0,1,1\n"
-        with pytest.raises(BenchError, match=r"^line 4: field larger than field limit"):
-            parse_report(text, "csv")
-
-    def test_json_nested_too_deep_is_a_bench_error(self):
-        with pytest.raises(BenchError, match="^report is not valid JSON"):
-            parse_report("[" * 100000, "json")
-
-    def test_json_refuses_an_unknown_key(self):
-        records = json.loads(emit_report(self.rows(), "json"))
-        records[1]["typo"] = 5
-        with pytest.raises(BenchError, match="^record 2: unknown key 'typo'$"):
-            parse_report(json.dumps(records), "json")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @given(rows=st.lists(st.builds(
@@ -390,17 +369,19 @@ class TestReports:
         st.lists(SECONDS, max_size=4),
     )))
     def test_round_trip(self, fmt, rows):
-        parsed = parse_report(emit_report(rows, fmt), fmt)
-        assert parsed == rows
-        # per-seed times take no part in ==: JSON keeps them, CSV has no column for them
-        kept = [r.per_seed_time_s for r in rows] if fmt == "json" else [[]] * len(rows)
-        assert [r.per_seed_time_s for r in parsed] == kept
+        text = emit_report(rows, fmt)
+        if fmt == "csv":
+            assert read_csv_report(text) == [report_values(r) for r in rows]
+        else:
+            assert json.loads(text) == [
+                dict(zip(REPORT_HEADER, report_values(r)), per_seed_time_s=r.per_seed_time_s)
+                for r in rows
+            ]
 
     def test_json_numbers_keep_column_types(self):
-        records = json.loads(emit_report(self.rows(), "json"))
-        records[0]["gap"] = 0
-        row = parse_report(json.dumps(records), "json")[0]
-        assert type(row.seeds_run) is int and type(row.gap) is float
+        for record in json.loads(emit_report(self.rows(), "json")):
+            assert [type(record[key]) for key in INT_COLUMNS] == [int] * len(INT_COLUMNS)
+            assert type(record["gap"]) is float and type(record["total_time_s"]) is float
 
 
 class TestNumberGrammar:
@@ -412,17 +393,3 @@ class TestNumberGrammar:
     def test_baselines_fields_are_stripped_first(self):
         (record,) = load_baselines("name,best_known,source\n nug12 , 578 , QAPLIB\n")
         assert (record.instance_name, record.best_known, record.source) == ("nug12", 578, "QAPLIB")
-
-    @pytest.mark.parametrize("lineno, col, bad", [
-        (2, 1, "1_0"), (2, 2, " 578"), (2, 3, "٥٧٨"), (3, 5, "+2000"),
-        (3, 4, "0.005_025"), (3, 6, "12.125 "),
-    ])
-    def test_report_csv_rejects_malformed_cells(self, lineno, col, bad):
-        rows = [BenchRow("nug12", 10, 578, 578, 0.0, 1234, 5.5),
-                BenchRow("chr12a", 10, 9600, 9552, 0.005025, 2000, 12.125)]
-        lines = emit_report(rows, "csv").splitlines()
-        cells = lines[lineno - 1].split(",")
-        cells[col] = bad
-        lines[lineno - 1] = ",".join(cells)
-        with pytest.raises(BenchError, match=f"line {lineno}: bad report row"):
-            parse_report("\n".join(lines) + "\n", "csv")

@@ -195,12 +195,49 @@ class TestMutation:
         with pytest.raises(ValueError, match=re.escape("1-D), got shape (2, 3)")):
             swap_mutation(np.array([[0, 1, 2], [2, 1, 0]]), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p, match", [
+        ([0, 7, 7], "permutation entries out of range"),
+        ([0, 0, 1], "permutation is not a bijection"),
+        ([True, False], "permutation must hold integers, got dtype bool"),
+    ], ids=["out-of-range", "repeated", "bool"])
+    def test_refuses_a_non_permutation(self, p, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            swap_mutation(np.array(p), np.random.default_rng(0))
+
     def test_degenerate_length_one(self, caplog):
         p = np.array([0])
         with caplog.at_level("WARNING"):
             q = swap_mutation(p, np.random.default_rng(0))
         assert q.tolist() == [0]
         assert any("no-op" in r.message for r in caplog.records)
+
+
+def call_with_rng(name, rng):
+    """Call the public function name with valid arguments and the given rng."""
+    inst = random_instance(3, 5, rng=np.random.default_rng(0))
+    if name == "random_instance":
+        return random_instance(3, 5, rng=rng)
+    if name == "init_population":
+        return init_population(inst, 4, rng)
+    if name == "evolve_step":
+        perms, costs = init_population(inst, 4, np.random.default_rng(0))
+        return evolve_step(inst, perms, costs, GaConfig(population_size=4), rng)
+    if name == "swap_mutation":
+        return swap_mutation(np.array([0, 1, 2]), rng)
+    return roulette_select([Chromosome([0, 1], 1), Chromosome([1, 0], 2)], [1.0, 1.0], rng)
+
+
+RNG_USERS = ["init_population", "evolve_step", "swap_mutation", "roulette_select", "random_instance"]
+
+
+@pytest.mark.parametrize("name", RNG_USERS)
+@pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)], ids=["None", "int", "RandomState"])
+def test_rng_must_be_a_numpy_generator(name, rng):
+    if name == "random_instance" and rng is None:  # None there asks for a fresh generator
+        assert call_with_rng(name, rng).n == 3
+        return
+    with pytest.raises(ValueError, match=f"^rng must be a numpy Generator, got {re.escape(repr(rng))}$"):
+        call_with_rng(name, rng)
 
 
 class TestSelection:
@@ -618,12 +655,15 @@ class TestConfigRanges:
 
 
 class TestConfigText:
-    def test_round_trip(self):
-        from qapga import config_from_text, config_to_text
-        cfg = GaConfig(population_size=40, crossover_rate=0.7, mutation_rate=0.1,
-                       max_generations=500, target_cost=578, time_limit_s=2.5,
-                       elitism_count=2, rng_seed=99)
-        assert config_from_text(config_to_text(cfg)) == cfg
+    def test_a_text_naming_every_field(self):
+        from qapga import config_from_text
+        text = ("population_size = 40\ncrossover_rate = 0.7\nmutation_rate = 0.1\n"
+                "max_generations = 500\ntarget_cost = 578\ntime_limit_s = 2.5\n"
+                "elitism_count = 2\nrng_seed = 99\n")
+        assert [line.split(" = ")[0] for line in text.splitlines()] == list(_CONFIG_FIELDS)
+        assert config_from_text(text) == GaConfig(
+            population_size=40, crossover_rate=0.7, mutation_rate=0.1, max_generations=500,
+            target_cost=578, time_limit_s=2.5, elitism_count=2, rng_seed=99)
 
     def test_comments_blanks_and_none(self):
         from qapga import config_from_text
